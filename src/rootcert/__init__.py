@@ -6,20 +6,18 @@ from .errors import (AllImagesZero, DegenerateMoebius, DegenerateSample,
                      RootCertError, RootFindingFailed, UnknownPreset, ZeroInput,
                      ZeroOperator, ZeroPolynomial)
 from .operators import LinearOperator, RankOneForm
-from .poly import (BiPoly, Poly, RootMultiset, approx_gcd, bipoly_pow,
-                   from_roots, roots, roots_batch)
-from .symbols import (CLOSURE_INTERIOR, INTERIOR_INTERIOR, NonvanishingMode,
-                      NonvanishingResult, ZeroWitness, base_symbol,
+from .poly import (BiPoly, Poly, RootMultiset, approx_gcd, from_roots, roots,
+                   roots_batch)
+from .symbols import (NonvanishingResult, ZeroWitness, base_symbol,
                       nonvanishing_check, operator_symbol)
 
 __all__ = [
-    "AllImagesZero", "BiPoly", "CLOSURE_INTERIOR", "DegenerateMoebius",
-    "DegenerateSample", "DegreeOutOfRange", "HorizonError",
-    "INTERIOR_INTERIOR", "LinearOperator", "MoebiusDomain", "NonConvergence",
-    "NonvanishingMode", "NonvanishingResult", "ParseError", "Poly",
+    "AllImagesZero", "BiPoly", "DegenerateMoebius", "DegenerateSample",
+    "DegreeOutOfRange", "HorizonError", "LinearOperator", "MoebiusDomain",
+    "NonConvergence", "NonvanishingResult", "ParseError", "Poly",
     "RankOneForm", "RegionClass", "RegionTag", "RootCertError",
     "RootFindingFailed", "RootMultiset", "UnknownPreset", "ZeroInput",
     "ZeroOperator", "ZeroPolynomial", "ZeroWitness", "approx_gcd",
-    "base_symbol", "bipoly_pow", "from_roots", "nonvanishing_check",
+    "base_symbol", "from_roots", "nonvanishing_check",
     "operator_symbol", "preset", "roots", "roots_batch",
 ]

@@ -16,12 +16,12 @@ from typing import Optional, Union
 import numpy as np
 
 from .domains import MoebiusDomain, RegionClass, RegionTag
-from .errors import AllImagesZero, DegreeOutOfRange, ZeroOperator
+from .errors import (AllImagesZero, DegreeOutOfRange, RootFindingFailed,
+                     ZeroOperator)
 from .operators import LinearOperator, RankOneForm
-from .poly import (CLUSTER_RADIUS, Poly, RootMultiset, approx_gcd, from_roots,
-                   root_uncertainty, roots, roots_batch)
-from .symbols import (CLOSURE_INTERIOR, INTERIOR_INTERIOR, ZeroWitness,
-                      _as_rng, nonvanishing_check, operator_symbol)
+from .poly import (CLUSTER_RADIUS, BiPoly, Poly, RootMultiset, approx_gcd,
+                   from_roots, root_uncertainty, roots, roots_batch)
+from .symbols import ZeroWitness, _as_rng, nonvanishing_check, operator_symbol
 
 RESIDUAL_TOL = 1e-8
 
@@ -49,6 +49,10 @@ class Budget:
     w_samples: int = 512
     trials: int = 2000
     seed: int = 0
+
+    def __post_init__(self):
+        if self.w_samples < 1 or self.trials < 1:
+            raise ValueError("a budget needs w_samples >= 1 and trials >= 1")
 
     def stream(self, tag: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, tag])
@@ -171,32 +175,50 @@ def _rank_one_diag(form: RankOneForm, tags: tuple[RegionTag, ...]) -> dict:
 # closed-class certification
 # ---------------------------------------------------------------------------
 
-def _closed_core(op: LinearOperator, dom: MoebiusDomain, degrees, budget: Budget,
-                 rng: np.random.Generator):
-    diag: dict = {}
-    form = op.rank_one_form()
-    if form is not None:
-        tags = _direction_tags(form.direction, dom)
-        diag["rank_one"] = _rank_one_diag(form, tags)
-        if all(t.in_complement for t in tags):
-            return Verdict.CERTIFIED_RANK_ONE, None, diag
+def _symbol_scan(op: LinearOperator, dom: MoebiusDomain, degrees,
+                 boundary_counts: bool, w_samples: int, rng: np.random.Generator,
+                 symbols: dict[int, BiPoly]) -> tuple[ZeroWitness | None, list]:
+    """Searches each degree's operator symbol for a zero, stopping at the first.
+
+    Symbols are taken from, and added to, ``symbols`` (degree -> symbol), so
+    a second scan of the same operator builds none twice.  Returns the
+    witness, or None, and the per-degree diagnostics.
+    """
     per_n = []
     for n in degrees:
-        sym = operator_symbol(op, dom, n)
+        if n not in symbols:
+            symbols[n] = operator_symbol(op, dom, n)
+        sym = symbols[n]
         if sym.is_zero():
             per_n.append({"n": n, "status": "zero-symbol"})
             continue
-        res = nonvanishing_check(sym, dom, INTERIOR_INTERIOR,
-                                 w_samples=budget.w_samples, rng=rng)
+        res = nonvanishing_check(sym, dom, boundary_counts,
+                                 w_samples=w_samples, rng=rng)
         if res.found:
             w = res.witness
             per_n.append({"n": n, "status": "zero-found",
                           "z": [w.z.real, w.z.imag], "w": [w.w.real, w.w.imag]})
-            diag["symbols_closed"] = per_n
-            return Verdict.FALSIFIED, w, diag
+            return w, per_n
         per_n.append({"n": n, "status": "no-zero-found", "samples": res.w_samples})
-    diag["symbols_closed"] = per_n
-    return Verdict.EVIDENCE_CONSISTENT, None, diag
+    return None, per_n
+
+
+def _closed_core(op: LinearOperator, dom: MoebiusDomain, degrees, budget: Budget,
+                 symbols: dict[int, BiPoly]):
+    """Closed-class verdict, witness and diagnostics, plus the root tags of
+    the rank-one direction (None when the operator is not rank one)."""
+    diag: dict = {}
+    form = op.rank_one_form()
+    tags = None
+    if form is not None:
+        tags = _direction_tags(form.direction, dom)
+        diag["rank_one"] = _rank_one_diag(form, tags)
+        if all(t.in_complement for t in tags):
+            return Verdict.CERTIFIED_RANK_ONE, None, diag, tags
+    witness, diag["symbols_closed"] = _symbol_scan(
+        op, dom, degrees, False, budget.w_samples, budget.stream(0), symbols)
+    verdict = Verdict.EVIDENCE_CONSISTENT if witness is None else Verdict.FALSIFIED
+    return verdict, witness, diag, tags
 
 
 def certify_closed(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
@@ -210,8 +232,7 @@ def certify_closed(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
     """
     if n_max > op.horizon:
         raise DegreeOutOfRange(f"n_max {n_max} exceeds the horizon {op.horizon}")
-    verdict, witness, diag = _closed_core(op, dom, range(n_max + 1), budget,
-                                          budget.stream(0))
+    verdict, witness, diag, _ = _closed_core(op, dom, range(n_max + 1), budget, {})
     diag["minimal_k"] = op.minimal_k()
     return CertReport(verdict, Route.CLOSED_SYMBOL, RegionClass.COMPLEMENT,
                       op.horizon, n_max, budget, witness, diag)
@@ -227,7 +248,7 @@ def certify_closed_bounded(op: LinearOperator, dom: MoebiusDomain,
     if op.bounded_degree is None:
         raise ValueError("certify_closed_bounded needs a degree-bounded operator")
     n = op.bounded_degree
-    verdict, witness, diag = _closed_core(op, dom, [n], budget, budget.stream(0))
+    verdict, witness, diag, _ = _closed_core(op, dom, [n], budget, {})
     diag["minimal_k"] = op.minimal_k()
     return CertReport(verdict, Route.CLOSED_SYMBOL_BOUNDED, RegionClass.COMPLEMENT,
                       op.horizon, n, budget, witness, diag)
@@ -276,8 +297,8 @@ def _boundary_poly_witness(op: LinearOperator, dom: MoebiusDomain,
                                    RegionClass.EXTERIOR, preferred=bad)
         if w is not None:
             return w
-    raise RuntimeError("could not realize a boundary witness; "
-                       "the boundary root check may be marginal")
+    raise RootFindingFailed("could not realize a boundary witness; "
+                            "the boundary root check may be marginal")
 
 
 # ---------------------------------------------------------------------------
@@ -314,44 +335,27 @@ def certify_open(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
     if n_max > op.horizon:
         raise DegreeOutOfRange(f"n_max {n_max} exceeds the horizon {op.horizon}")
 
-    closed = certify_closed(op, dom, n_max, budget)
-    diag: dict = dict(closed.diagnostics)
-    diag["closed_verdict"] = closed.verdict.value
+    symbols: dict[int, BiPoly] = {}
+    closed_verdict, closed_witness, diag, tags = _closed_core(
+        op, dom, range(n_max + 1), budget, symbols)
+    diag["closed_verdict"] = closed_verdict.value
     diag["minimal_k"] = op.minimal_k()
 
     bc = boundary_root_check(op, dom)
     diag["boundary_check"] = _boundary_check_diag(bc)
-    route4 = Verdict.FALSIFIED if (closed.verdict is Verdict.FALSIFIED or not bc.passed) \
+    route4 = Verdict.FALSIFIED \
+        if closed_verdict is Verdict.FALSIFIED or not bc.passed \
         else Verdict.EVIDENCE_CONSISTENT
 
-    rng_open = budget.stream(1)
-    per_n = []
-    closure_witness = None
-    for n in range(n_max + 1):
-        sym = operator_symbol(op, dom, n)
-        if sym.is_zero():
-            per_n.append({"n": n, "status": "zero-symbol"})
-            continue
-        res = nonvanishing_check(sym, dom, CLOSURE_INTERIOR,
-                                 w_samples=budget.w_samples, rng=rng_open)
-        if res.found:
-            w = res.witness
-            per_n.append({"n": n, "status": "zero-found",
-                          "z": [w.z.real, w.z.imag], "w": [w.w.real, w.w.imag]})
-            closure_witness = w
-            break
-        per_n.append({"n": n, "status": "no-zero-found", "samples": res.w_samples})
-    diag["symbols_closure"] = per_n
+    closure_witness, diag["symbols_closure"] = _symbol_scan(
+        op, dom, range(n_max + 1), True, budget.w_samples, budget.stream(1), symbols)
     route5 = Verdict.FALSIFIED if closure_witness is not None \
         else Verdict.EVIDENCE_CONSISTENT
     diag["routes"] = {Route.CLOSED_PLUS_BOUNDARY.value: route4.value,
                       Route.OPEN_SYMBOL.value: route5.value,
                       "agree": route4 is route5}
 
-    form = op.rank_one_form()
-    if form is not None:
-        tags = _direction_tags(form.direction, dom)
-        diag["rank_one"] = _rank_one_diag(form, tags)
+    if tags is not None:
         strictly_exterior = all(t is RegionTag.EXTERIOR for t in tags)
         literal_ok = all(t.in_complement for t in tags)
         if literal_ok and not strictly_exterior:
@@ -365,10 +369,10 @@ def certify_open(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
                               RegionClass.EXTERIOR, op.horizon, n_max, budget,
                               None, diag)
 
-    if closed.verdict is Verdict.FALSIFIED:
+    if closed_verdict is Verdict.FALSIFIED:
         return CertReport(Verdict.FALSIFIED, Route.CLOSED_PLUS_BOUNDARY,
                           RegionClass.EXTERIOR, op.horizon, n_max, budget,
-                          closed.witness, diag)
+                          closed_witness, diag)
     if not bc.passed:
         witness = _boundary_poly_witness(op, dom, bc, budget.stream(2))
         return CertReport(Verdict.FALSIFIED, Route.CLOSED_PLUS_BOUNDARY,
@@ -419,6 +423,8 @@ def falsify(op: LinearOperator, dom: MoebiusDomain,
     lo, hi = degree_range
     if not (0 <= lo <= hi):
         raise ValueError("degree range must satisfy 0 <= lo <= hi")
+    if trials < 1:
+        raise ValueError("falsify needs trials >= 1")
     cap = op.bounded_degree if op.bounded_degree is not None else op.horizon
     if hi > cap:
         raise DegreeOutOfRange(f"degree range reaches {hi}, above the operator cap {cap}")

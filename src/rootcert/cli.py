@@ -5,15 +5,15 @@ are deterministic given the seed; the JSON form (--json) is the stable
 machine interface, the text form is unversioned.
 
 Exit codes: 0 certified / evidence-consistent, 1 falsified (witness printed),
-2 usage or parse error, 3 numerical failure.
+2 usage or parse error, 3 any other library failure (numerical or sampling).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, TextIO
 
 import numpy as np
@@ -22,7 +22,7 @@ from .certify import (Budget, CertReport, PolyWitness, Verdict, certify_closed,
                       certify_closed_bounded, certify_open, falsify, gcd_image)
 from .domains import MoebiusDomain, RegionClass, preset
 from .errors import (DegenerateMoebius, HorizonError, ParseError,
-                     RootFindingFailed, UnknownPreset)
+                     RootCertError, UnknownPreset)
 from .operators import LinearOperator
 from .poly import Poly
 from .symbols import ZeroWitness, operator_symbol
@@ -33,26 +33,6 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class RunConfig:
-    command: str
-    operator_path: Optional[str]
-    domain_spec: list[str]
-    cls: str = "closed"
-    n: int = 0
-    n_max: Optional[int] = None
-    degree_range: tuple[int, int] = (0, 6)
-    samples: int = 512
-    gcd_samples: int = 50
-    trials: int = 2000
-    seed: int = 0
-    tol: float = 1e-9
-    json_output: bool = False
-    source: str = "interior"
-    target: Optional[str] = None
-    point: Optional[tuple[float, float]] = None
-
-
 # ---------------------------------------------------------------------------
 # operator file format
 # ---------------------------------------------------------------------------
@@ -61,7 +41,13 @@ def _as_complex(pair, where: str) -> complex:
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(v, (int, float)) for v in pair)):
         raise ParseError(f"{where}: expected a [re, im] pair, got {pair!r}")
-    return complex(pair[0], pair[1])
+    try:
+        z = complex(pair[0], pair[1])
+    except OverflowError:
+        raise ParseError(f"{where}: {pair!r} is out of the float range") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParseError(f"{where}: expected finite numbers, got {pair!r}")
+    return z
 
 
 def _coeff_list(values, where: str) -> Poly:
@@ -97,13 +83,13 @@ def parse_operator(text: str) -> LinearOperator:
             f"bounded_degree must equal N (= {horizon}), got {bounded!r}")
 
     table = None
-    for key in ("entries", "images", "coeffs"):
+    for key in ("images", "coeffs"):
         if key in doc:
             table = doc[key]
             break
     if not isinstance(table, dict):
         raise ParseError("missing the index-to-coefficients map "
-                         "(key 'images', 'coeffs' or 'entries')")
+                         "(key 'images' or 'coeffs')")
     polys: dict[int, Poly] = {}
     for raw_k, values in table.items():
         try:
@@ -155,6 +141,8 @@ def parse_domain(tokens: list[str], tol: float) -> MoebiusDomain:
         vals = [float(v) for v in raw]
     except ValueError as exc:
         raise ParseError(f"domain coefficients must be numbers: {exc}") from exc
+    if not all(math.isfinite(v) for v in vals):
+        raise ParseError(f"domain coefficients must be finite, got {raw}")
     a, b, c, d = (complex(vals[i], vals[i + 1]) for i in range(0, 8, 2))
     return MoebiusDomain(a, b, c, d, tol=tol)
 
@@ -238,33 +226,33 @@ def _print_report(report: CertReport, cls: str, out: TextIO) -> None:
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_certify(cfg: RunConfig, op: LinearOperator, dom: MoebiusDomain,
+def _cmd_certify(args: argparse.Namespace, op: LinearOperator, dom: MoebiusDomain,
                  out: TextIO) -> int:
-    budget = Budget(w_samples=cfg.samples, trials=cfg.trials, seed=cfg.seed)
-    n_max = min(8, op.horizon) if cfg.n_max is None else cfg.n_max
-    if cfg.cls == "closed":
+    budget = Budget(w_samples=args.samples, trials=args.trials, seed=args.seed)
+    n_max = min(8, op.horizon) if args.n_max is None else args.n_max
+    if args.cls == "closed":
         if op.bounded_degree is not None:
             report = certify_closed_bounded(op, dom, budget)
         else:
             report = certify_closed(op, dom, n_max, budget)
     else:
         report = certify_open(op, dom, n_max, budget)
-    if cfg.json_output:
-        _dump(report_json(report, cfg.cls), out)
+    if args.json_output:
+        _dump(report_json(report, args.cls), out)
     else:
-        _print_report(report, cfg.cls, out)
+        _print_report(report, args.cls, out)
     return EXIT_FALSIFIED if report.verdict is Verdict.FALSIFIED else EXIT_PASS
 
 
-def _cmd_symbol(cfg: RunConfig, op: LinearOperator, dom: MoebiusDomain,
+def _cmd_symbol(args: argparse.Namespace, op: LinearOperator, dom: MoebiusDomain,
                 out: TextIO) -> int:
-    sym = operator_symbol(op, dom, cfg.n)
-    if cfg.json_output:
-        _dump({"n": cfg.n,
+    sym = operator_symbol(op, dom, args.n)
+    if args.json_output:
+        _dump({"n": args.n,
                "z_degree": sym.z_degree(), "w_degree": sym.w_degree(),
                "coeffs": [[_pair(c) for c in row] for row in sym.coeffs]}, out)
     else:
-        out.write(f"symbol image at degree {cfg.n} "
+        out.write(f"symbol image at degree {args.n} "
                   f"(rows are powers of z, columns powers of w):\n")
         for i, row in enumerate(sym.coeffs):
             cells = "  ".join(_fmt_c(c) for c in row)
@@ -272,21 +260,21 @@ def _cmd_symbol(cfg: RunConfig, op: LinearOperator, dom: MoebiusDomain,
     return EXIT_PASS
 
 
-def _cmd_falsify(cfg: RunConfig, op: LinearOperator, dom: MoebiusDomain,
+def _cmd_falsify(args: argparse.Namespace, op: LinearOperator, dom: MoebiusDomain,
                  out: TextIO) -> int:
-    source = RegionClass(cfg.source)
-    target = RegionClass(cfg.target) if cfg.target else source
-    witness = falsify(op, dom, source, target, cfg.degree_range, cfg.trials,
-                      np.random.default_rng(cfg.seed))
-    if cfg.json_output:
+    source = RegionClass(args.source)
+    target = RegionClass(args.target) if args.target else source
+    witness = falsify(op, dom, source, target, args.degree_range, args.trials,
+                      np.random.default_rng(args.seed))
+    if args.json_output:
         _dump({"verdict": "falsified" if witness else "evidence-consistent",
                "source": source.value, "target": target.value,
-               "trials": cfg.trials, "seed": cfg.seed,
-               "degree_range": list(cfg.degree_range),
+               "trials": args.trials, "seed": args.seed,
+               "degree_range": list(args.degree_range),
                "witness": _witness_json(witness)}, out)
     else:
         if witness is None:
-            out.write(f"no witness in {cfg.trials} trials "
+            out.write(f"no witness in {args.trials} trials "
                       f"(source = {source.value}, target = {target.value})\n")
         else:
             out.write("witness found:\n")
@@ -297,29 +285,30 @@ def _cmd_falsify(cfg: RunConfig, op: LinearOperator, dom: MoebiusDomain,
     return EXIT_FALSIFIED if witness is not None else EXIT_PASS
 
 
-def _cmd_gcd_image(cfg: RunConfig, op: LinearOperator, dom: MoebiusDomain,
+def _cmd_gcd_image(args: argparse.Namespace, op: LinearOperator, dom: MoebiusDomain,
                    out: TextIO) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    g = gcd_image(op, dom, cfg.n, cfg.gcd_samples, rng)
-    g2 = gcd_image(op, dom, cfg.n, 2 * cfg.gcd_samples,
-                   np.random.default_rng(cfg.seed + 1))
+    rng = np.random.default_rng(args.seed)
+    g = gcd_image(op, dom, args.n, args.gcd_samples, rng)
+    g2 = gcd_image(op, dom, args.n, 2 * args.gcd_samples,
+                   np.random.default_rng(args.seed + 1))
     stable = g.allclose(g2, rtol=1e-6, atol=1e-6)
-    if cfg.json_output:
-        _dump({"n": cfg.n, "samples": cfg.gcd_samples, "seed": cfg.seed,
+    if args.json_output:
+        _dump({"n": args.n, "samples": args.gcd_samples, "seed": args.seed,
                "gcd": _poly_json(g), "stable_under_doubling": bool(stable)}, out)
     else:
         g_str = ", ".join(_fmt_c(c) for c in g.trimmed().coeffs)
-        out.write(f"gcd of degree-{cfg.n} images ({cfg.gcd_samples} samples): "
+        out.write(f"gcd of degree-{args.n} images ({args.gcd_samples} samples): "
                   f"[{g_str}]\n")
         out.write(f"stable under doubling the samples: {stable}\n")
     return EXIT_PASS
 
 
-def _cmd_classify_point(cfg: RunConfig, dom: MoebiusDomain, out: TextIO) -> int:
-    z = complex(cfg.point[0], cfg.point[1])
+def _cmd_classify_point(args: argparse.Namespace, dom: MoebiusDomain,
+                        out: TextIO) -> int:
+    z = complex(args.point[0], args.point[1])
     tag = dom.classify(z)
     side = dom.side(z)
-    if cfg.json_output:
+    if args.json_output:
         _dump({"point": _pair(z), "tag": tag.value, "side": float(side)}, out)
     else:
         out.write(f"{_fmt_c(z)}: {tag.value} (side = {side:.6g})\n")
@@ -357,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SPEC",
                        help="preset name, or 'moebius' followed by 8 reals")
         p.add_argument("--tol", type=float, default=1e-9,
-                       help="boundary band half-width (relative)")
+                       help="boundary band half-width (relative), in (0, 1)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", dest="json_output")
 
@@ -397,42 +386,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command,
-                    operator_path=getattr(args, "operator", None),
-                    domain_spec=args.domain,
-                    seed=args.seed, tol=args.tol,
-                    json_output=args.json_output)
-    for name in ("cls", "n", "n_max", "samples", "gcd_samples", "trials",
-                 "degree_range", "source", "target"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "point"):
-        cfg.point = tuple(args.point)
-    return cfg
-
-
-def run(cfg: RunConfig, operator_text: Optional[str], out: TextIO) -> int:
-    """Dispatch a parsed configuration; returns the process exit code."""
+def run(args: argparse.Namespace, operator_text: Optional[str], out: TextIO) -> int:
+    """Dispatch parsed arguments (from build_parser); returns the exit code."""
     try:
-        dom = parse_domain(cfg.domain_spec, cfg.tol)
-        if cfg.command == "classify-point":
-            return _cmd_classify_point(cfg, dom, out)
+        dom = parse_domain(args.domain, args.tol)
+        if args.command == "classify-point":
+            return _cmd_classify_point(args, dom, out)
         op = parse_operator(operator_text)
-        if cfg.command == "certify":
-            return _cmd_certify(cfg, op, dom, out)
-        if cfg.command == "symbol":
-            return _cmd_symbol(cfg, op, dom, out)
-        if cfg.command == "falsify":
-            return _cmd_falsify(cfg, op, dom, out)
-        if cfg.command == "gcd-image":
-            return _cmd_gcd_image(cfg, op, dom, out)
-        raise ParseError(f"unknown command {cfg.command!r}")
+        if args.command == "certify":
+            return _cmd_certify(args, op, dom, out)
+        if args.command == "symbol":
+            return _cmd_symbol(args, op, dom, out)
+        if args.command == "falsify":
+            return _cmd_falsify(args, op, dom, out)
+        if args.command == "gcd-image":
+            return _cmd_gcd_image(args, op, dom, out)
+        raise ParseError(f"unknown command {args.command!r}")
     except (ParseError, UnknownPreset, DegenerateMoebius, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except RootFindingFailed as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+    except RootCertError as exc:
+        print(f"failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 
@@ -442,16 +416,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    cfg = _config_from_args(args)
     operator_text = None
-    if cfg.operator_path is not None:
+    if getattr(args, "operator", None) is not None:
         try:
-            with open(cfg.operator_path, "r", encoding="utf-8") as fh:
+            with open(args.operator, "r", encoding="utf-8") as fh:
                 operator_text = fh.read()
         except OSError as exc:
             print(f"error: cannot read operator file: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    return run(cfg, operator_text, sys.stdout)
+    return run(args, operator_text, sys.stdout)
 
 
 if __name__ == "__main__":

@@ -50,10 +50,6 @@ class RegionClass(Enum):
         return tag.in_complement
 
     @property
-    def is_open(self) -> bool:
-        return self in (RegionClass.INTERIOR, RegionClass.EXTERIOR)
-
-    @property
     def sample_tags(self) -> tuple[RegionTag, ...]:
         """Tags a point sampler may draw from to cover this class."""
         if self is RegionClass.INTERIOR:
@@ -81,7 +77,12 @@ _MAX_CONSECUTIVE_REJECTS = 100
 
 @dataclass(frozen=True)
 class MoebiusDomain:
-    """Coefficients (a, b, c, d) with ad - bc != 0 plus the boundary band width."""
+    """Coefficients (a, b, c, d) with ad - bc != 0 plus the boundary band width.
+
+    Since |side(z)| <= (|az+b|**2 + |cz+d|**2) / 2, a band of tol 1 or more
+    would hold every point and one of 0 or less no point; tol must lie
+    strictly between.
+    """
 
     a: complex
     b: complex
@@ -94,6 +95,8 @@ class MoebiusDomain:
         object.__setattr__(self, "b", complex(self.b))
         object.__setattr__(self, "c", complex(self.c))
         object.__setattr__(self, "d", complex(self.d))
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError(f"tol must be a finite number in (0, 1), got {self.tol!r}")
         scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)) ** 2
         det = self.a * self.d - self.b * self.c
         if scale == 0.0 or abs(det) <= 1e-12 * scale:
@@ -230,9 +233,6 @@ class MoebiusDomain:
             else:
                 consecutive = 0
         return out
-
-    def coefficients(self) -> tuple[complex, complex, complex, complex]:
-        return (self.a, self.b, self.c, self.d)
 
 
 PRESETS = {

@@ -26,9 +26,6 @@ class RankOneForm:
     alphas: tuple[complex, ...]
     direction: Poly
 
-    def reconstructed_image(self, k: int) -> Poly:
-        return self.alphas[k] * self.direction
-
 
 class LinearOperator:
     __slots__ = ("images", "bounded_degree")

@@ -217,9 +217,6 @@ class BiPoly:
     def __call__(self, z: complex, w: complex) -> complex:
         return complex(self.restrict_w(w)(z))
 
-    def transposed(self) -> "BiPoly":
-        return BiPoly(self.coeffs.T)
-
     def __mul__(self, other) -> "BiPoly":
         if not isinstance(other, BiPoly):
             return BiPoly(self.coeffs * complex(other))
@@ -253,11 +250,6 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({np.array2string(self.coeffs, separator=', ')})"
-
-
-def bipoly_pow(base: BiPoly, n: int) -> BiPoly:
-    """Repeated convolution; n = 0 yields the constant-one polynomial."""
-    return base ** n
 
 
 @dataclass(frozen=True)
@@ -588,38 +580,14 @@ def _finalize_points(coeffs: np.ndarray, pts: np.ndarray,
     return RootMultiset(tuple(entries), residual)
 
 
-def roots(p: Poly, tol: float = ROOT_TOL, cluster_radius: float = CLUSTER_RADIUS,
-          max_iters: int = MAX_ITERS, trim_tol: float = TRIM_TOL) -> RootMultiset:
-    """All roots of p with clustered multiplicities.
+def _roots_trimmed(trimmed: list[np.ndarray | None], tol: float,
+                   cluster_radius: float,
+                   max_iters: int) -> list[RootMultiset | None]:
+    """Root multisets of trimmed coefficient arrays; None stays None.
 
-    Raises ZeroPolynomial for the zero polynomial; a nonzero constant yields
-    an empty multiset.  Entries within cluster_radius of each other are merged
-    with summed multiplicity.
+    The one root path behind roots and roots_batch.  roots calls this, not
+    roots_batch, so that perfbench's roots_batch counters see batch calls only.
     """
-    c = _trim(p.coeffs, trim_tol)
-    if c is None:
-        raise ZeroPolynomial("roots of the zero polynomial are undefined")
-    if len(c) == 1:
-        return RootMultiset((), 0.0)
-    pts = _aberth_points(c[None, :], tol, max_iters)[0]
-    return _finalize_points(c, pts, cluster_radius)
-
-
-def roots_batch(polys: Sequence, tol: float = ROOT_TOL,
-                cluster_radius: float = CLUSTER_RADIUS,
-                max_iters: int = MAX_ITERS,
-                trim_tol: float = TRIM_TOL) -> list[RootMultiset | None]:
-    """Root multisets for many polynomials at once.
-
-    The simultaneous iteration is batched across entries of equal trimmed
-    degree, which is where the speed comes from when scanning hundreds of
-    slice polynomials.  Zero polynomials map to None; constants map to an
-    empty multiset.
-    """
-    trimmed: list[np.ndarray | None] = []
-    for p in polys:
-        arr = p.coeffs if isinstance(p, Poly) else _as_coeff_array(p)
-        trimmed.append(_trim(arr, trim_tol))
     results: list[RootMultiset | None] = [None] * len(trimmed)
     groups: dict[int, list[int]] = {}
     for i, c in enumerate(trimmed):
@@ -636,6 +604,37 @@ def roots_batch(polys: Sequence, tol: float = ROOT_TOL,
         for row, i in enumerate(idxs):
             results[i] = _finalize_points(trimmed[i], pts[row], cluster_radius)
     return results
+
+
+def roots(p: Poly, tol: float = ROOT_TOL, cluster_radius: float = CLUSTER_RADIUS,
+          max_iters: int = MAX_ITERS, trim_tol: float = TRIM_TOL) -> RootMultiset:
+    """All roots of p with clustered multiplicities.
+
+    Raises ZeroPolynomial for the zero polynomial; a nonzero constant yields
+    an empty multiset.  Entries within cluster_radius of each other are merged
+    with summed multiplicity.
+    """
+    c = _trim(p.coeffs, trim_tol)
+    if c is None:
+        raise ZeroPolynomial("roots of the zero polynomial are undefined")
+    return _roots_trimmed([c], tol, cluster_radius, max_iters)[0]
+
+
+def roots_batch(polys: Sequence, tol: float = ROOT_TOL,
+                cluster_radius: float = CLUSTER_RADIUS,
+                max_iters: int = MAX_ITERS,
+                trim_tol: float = TRIM_TOL) -> list[RootMultiset | None]:
+    """Root multisets for many polynomials at once.
+
+    The simultaneous iteration is batched across entries of equal trimmed
+    degree, which is where the speed comes from when scanning hundreds of
+    slice polynomials.  Zero polynomials map to None; constants map to an
+    empty multiset.
+    """
+    return _roots_trimmed(
+        [_trim(p.coeffs if isinstance(p, Poly) else _as_coeff_array(p), trim_tol)
+         for p in polys],
+        tol, cluster_radius, max_iters)
 
 
 def root_uncertainty(coeffs, root: complex, multiplicity: int = 1,

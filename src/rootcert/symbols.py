@@ -26,32 +26,6 @@ DEFAULT_W_SAMPLES = 512
 
 
 @dataclass(frozen=True)
-class NonvanishingMode:
-    """Which (z, w) region pair a symbol must avoid vanishing on.
-
-    Only the two pairs the theory uses are supported: z over the open region
-    or its closure, w always over the open region.
-    """
-
-    z_region: RegionClass
-    w_region: RegionClass = RegionClass.INTERIOR
-
-    def __post_init__(self):
-        if self.z_region not in (RegionClass.INTERIOR, RegionClass.CLOSURE):
-            raise ValueError("z_region must be INTERIOR or CLOSURE")
-        if self.w_region is not RegionClass.INTERIOR:
-            raise ValueError("w_region must be INTERIOR")
-
-    @property
-    def boundary_counts(self) -> bool:
-        return self.z_region is RegionClass.CLOSURE
-
-
-INTERIOR_INTERIOR = NonvanishingMode(RegionClass.INTERIOR)
-CLOSURE_INTERIOR = NonvanishingMode(RegionClass.CLOSURE)
-
-
-@dataclass(frozen=True)
 class ZeroWitness:
     """A re-verified numerical zero of a bivariate polynomial in a region pair."""
 
@@ -101,28 +75,27 @@ def _witness_scale(F: BiPoly, z: complex, w: complex) -> float:
     return F.max_abs() * max(1.0, abs(z)) ** dz * max(1.0, abs(w)) ** dw
 
 
-def evaluate(F: BiPoly, z: complex, w: complex) -> complex:
-    """Direct double-Horner evaluation, used for witness re-verification."""
-    return F(z, w)
-
-
-def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, mode: NonvanishingMode,
+def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, boundary_counts: bool,
                        w_samples: int = DEFAULT_W_SAMPLES,
                        rng=0, zero_tol: float = ZERO_TOL,
                        cluster_radius: float = CLUSTER_RADIUS) -> NonvanishingResult:
-    """Search for a zero of F with z in the mode's z-region and w interior.
+    """Search for a zero of F with w interior and z interior, or z in the
+    closure when boundary_counts is set.
 
     All w-points are drawn up front from the generator, slices are rooted in
     one batch, and the witness (if any) is the one from the smallest sample
     index, so the outcome is deterministic given the seed.  Boundary-tagged
-    slice roots count as witnesses only in closure mode.  Every candidate is
-    re-verified against |F| <= zero_tol * coefficient scale before being
-    reported; slices that vanish identically are confirmed by a direct
-    evaluation of F at an interior probe point and otherwise skipped.
+    slice roots count as witnesses only when boundary_counts is set.  Every
+    candidate is re-verified against |F| <= zero_tol * coefficient scale
+    before being reported; slices that vanish identically are confirmed by a
+    direct evaluation of F at an interior probe point and otherwise skipped.
     """
     if F.is_zero():
         raise ZeroInput("the zero polynomial vanishes everywhere")
+    if w_samples < 1:
+        raise ValueError("the search needs w_samples >= 1")
     rng = _as_rng(rng)
+    claim = RegionClass.CLOSURE if boundary_counts else RegionClass.INTERIOR
     ws = dom.sample(RegionTag.INTERIOR, w_samples, rng)
 
     C = F.coeffs
@@ -155,7 +128,7 @@ def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, mode: NonvanishingMode,
         if is_zero_slice[s]:
             zero_slices += 1
             probe = complex(dom.sample(RegionTag.INTERIOR, 1, rng)[0])
-            val = abs(evaluate(F, probe, w0))
+            val = abs(F(probe, w0))
             if val <= zero_tol * _witness_scale(F, probe, w0):
                 return NonvanishingResult(
                     ZeroWitness(probe, w0, val, refined=False),
@@ -166,11 +139,10 @@ def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, mode: NonvanishingMode,
             continue
         slice_coeffs = trimmed[s]
         dslice = slice_coeffs[1:] * np.arange(1, len(slice_coeffs))
-        claim = mode.z_region
         for root, mult in rm.entries:
             tag = dom.classify(root)
             if not (tag is RegionTag.INTERIOR
-                    or (tag is RegionTag.BOUNDARY and mode.boundary_counts)):
+                    or (tag is RegionTag.BOUNDARY and boundary_counts)):
                 continue
             # the tag only counts once the root's location uncertainty
             # (coefficient noise pushed through the root) keeps it on the
@@ -189,7 +161,7 @@ def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, mode: NonvanishingMode,
                     < abs(complex(_polyval(slice_coeffs, root)))
                 if better and dom.robustly_in(claim, step, rho):
                     z_star, refined = step, True
-            val = abs(evaluate(F, z_star, w0))
+            val = abs(F(z_star, w0))
             if val <= zero_tol * _witness_scale(F, z_star, w0):
                 return NonvanishingResult(
                     ZeroWitness(complex(z_star), w0, val, refined),

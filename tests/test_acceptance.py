@@ -11,9 +11,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from rootcert import (CLOSURE_INTERIOR, LinearOperator, Poly, RegionClass,
-                      RegionTag, base_symbol, from_roots, nonvanishing_check,
-                      preset, roots)
+from rootcert import (LinearOperator, Poly, RegionClass, RegionTag,
+                      base_symbol, from_roots, nonvanishing_check, preset,
+                      roots)
 from rootcert.certify import (Budget, Verdict, boundary_root_check,
                               certify_closed, certify_open, falsify, gcd_image)
 from rootcert.cli import main as cli_main
@@ -60,7 +60,7 @@ def test_criterion_02_derivative_minus_z_counterexample():
         rng = np.random.default_rng(0)
         for n in range(1, 7):
             sym = operator_symbol(DERIV_MINUS_Z, L, n)
-            res = nonvanishing_check(sym, L, CLOSURE_INTERIOR, 512, rng=rng)
+            res = nonvanishing_check(sym, L, True, 512, rng=rng)
             assert not res.found, f"degree {n}: {res.witness}"
         # (b) the first nonzero image has a boundary root at the origin
         bc = boundary_root_check(DERIV_MINUS_Z, L)
@@ -122,7 +122,7 @@ def test_criterion_05_base_symbol_nonvanishing():
             rng = np.random.default_rng(5)
             for n in range(9):
                 res = nonvanishing_check(base_symbol(dom, n), dom,
-                                         CLOSURE_INTERIOR, 1000, rng=rng)
+                                         True, 1000, rng=rng)
                 assert not res.found, (name, n, res.witness)
 
 

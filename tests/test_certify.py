@@ -259,11 +259,60 @@ class TestReportPlumbing:
 
     def test_matched_budget_reproduces_closed_subverdict(self):
         b = Budget(w_samples=128, seed=6)
-        standalone = certify_closed(MUL_Z, H, budget=b)
-        embedded = certify_open(MUL_Z, H, budget=b)
-        assert embedded.diagnostics["closed_verdict"] == standalone.verdict.value
-        assert embedded.diagnostics["symbols_closed"] \
-            == standalone.diagnostics["symbols_closed"]
+        # a full closed scan, and one refuted at a low degree
+        interior_rank_one = LinearOperator.rank_one([1] + [0] * N, Poly([-1j, 1]))
+        for op in (MUL_Z, interior_rank_one):
+            standalone = certify_closed(op, H, budget=b)
+            embedded = certify_open(op, H, budget=b)
+            assert embedded.diagnostics["closed_verdict"] \
+                == standalone.verdict.value
+            assert embedded.diagnostics["symbols_closed"] \
+                == standalone.diagnostics["symbols_closed"]
+
+    @pytest.mark.parametrize("name", ["identity", "mul-z", "rank1-interior",
+                                      "rank1-boundary", "diag-inv-factorial"])
+    def test_open_builds_each_symbol_and_rank_one_form_once(self, battery, name,
+                                                            monkeypatch):
+        import rootcert.certify as certify_mod
+        built: dict[int, int] = {}
+        forms = []
+        symbol, rank_one_form = certify_mod.operator_symbol, \
+            LinearOperator.rank_one_form
+
+        def counting_symbol(op, dom, n):
+            built[n] = built.get(n, 0) + 1
+            return symbol(op, dom, n)
+
+        def counting_form(self, *args, **kwargs):
+            forms.append(self)
+            return rank_one_form(self, *args, **kwargs)
+
+        monkeypatch.setattr(certify_mod, "operator_symbol", counting_symbol)
+        monkeypatch.setattr(LinearOperator, "rank_one_form", counting_form)
+        rep = certify_open(battery[name], H, budget=SMALL)
+        assert all(count == 1 for count in built.values()), built
+        assert len(forms) == 1
+        scanned = {e["n"] for key in ("symbols_closed", "symbols_closure")
+                   for e in rep.diagnostics.get(key, [])}
+        assert set(built) == scanned
+
+    def test_unrealizable_boundary_witness_is_a_root_finding_failure(
+            self, monkeypatch):
+        import rootcert.certify as certify_mod
+        from rootcert import RootFindingFailed
+        monkeypatch.setattr(certify_mod, "_verified_poly_witness",
+                            lambda *args, **kwargs: None)
+        with pytest.raises(RootFindingFailed):
+            certify_open(DERIV_MINUS_Z, L, budget=SMALL)
+
+    @pytest.mark.parametrize("w_samples, trials", [(0, 10), (10, 0), (-1, 10)])
+    def test_empty_budget_rejected(self, w_samples, trials):
+        with pytest.raises(ValueError):
+            Budget(w_samples=w_samples, trials=trials)
+
+    def test_falsify_needs_a_trial(self):
+        with pytest.raises(ValueError):
+            falsify(IDENTITY, H, trials=0, rng=0)
 
 
 class TestClassConsistency:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rootcert import HorizonError, LinearOperator, ParseError, Poly
-from rootcert.cli import (RunConfig, main, parse_domain, parse_operator,
+from rootcert.cli import (build_parser, main, parse_domain, parse_operator,
                           run, serialize_operator)
 
 MUL_Z_DOC = {
@@ -68,6 +68,18 @@ class TestParseOperator:
         with pytest.raises(ParseError):
             parse_operator("{form: monomial")
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_coefficient_rejected(self, value):
+        text = ('{"form": "monomial", "N": 1, "images": {"1": [[0, 0], [%s, 0]]}}'
+                % value)
+        with pytest.raises(ParseError, match=r"entry 1\[1\]"):
+            parse_operator(text)
+
+    def test_entries_key_is_not_an_alias(self):
+        doc = {"form": "monomial", "N": 1, "entries": {"0": [[1, 0]]}}
+        with pytest.raises(ParseError):
+            parse_operator(json.dumps(doc))
+
     def test_bounded_degree_must_match(self):
         doc = {"form": "monomial", "N": 3, "bounded_degree": 2, "images": {}}
         with pytest.raises(ParseError):
@@ -103,6 +115,11 @@ class TestParseDomain:
     def test_non_numeric(self):
         with pytest.raises(ParseError):
             parse_domain(["moebius"] + ["x"] * 8, 1e-9)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    def test_non_finite(self, value):
+        with pytest.raises(ParseError):
+            parse_domain(["1", "0", "0", "0", "0", "0", "1", value], 1e-9)
 
 
 class TestExitCodes:
@@ -148,6 +165,56 @@ class TestExitCodes:
 
     def test_argparse_error(self):
         assert main(["certify"]) == 2
+
+    def test_nan_image_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text('{"form": "monomial", "N": 1, '
+                        '"images": {"0": [[1, 0]], "1": [[NaN, 0]]}}')
+        code = main(["certify", str(path), "--class", "closed",
+                     "--domain", "upper-half-plane"])
+        assert code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["certify", "--class", "closed", "--samples", "0"],
+        ["certify", "--class", "open", "--trials", "0"],
+        ["falsify", "--trials", "0"],
+        ["certify", "--class", "closed", "--tol", "nan"],
+        ["certify", "--class", "closed", "--tol", "-1"],
+        ["certify", "--class", "closed", "--tol", "2"],
+    ])
+    def test_empty_budget_or_bad_tol_is_a_usage_error(self, mulz_file, flags,
+                                                      capsys):
+        code = main([flags[0], mulz_file, "--domain", "upper-half-plane",
+                     *flags[1:]])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_bad_tol_rejected_by_classify_point(self):
+        assert main(["classify-point", "--domain", "upper-half-plane",
+                     "--point", "0", "1", "--tol", "2"]) == 2
+
+    def test_annihilated_gcd_samples_exit_3(self, tmp_path, capsys):
+        # the derivative sends every degree-0 input to zero (AllImagesZero)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({"form": "diff", "N": 4,
+                                    "coeffs": {"1": [[1, 0]]}}))
+        code = main(["gcd-image", str(path), "--domain", "upper-half-plane",
+                     "--n", "0"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "AllImagesZero" in err and len(err.strip().splitlines()) == 1
+
+    def test_sampling_failure_maps_to_exit_3(self, mulz_file, monkeypatch):
+        from rootcert.errors import DegenerateSample
+        import rootcert.cli as cli_mod
+
+        def blow_up(*args, **kwargs):
+            raise DegenerateSample("forced")
+
+        monkeypatch.setattr(cli_mod, "certify_closed", blow_up)
+        code = main(["certify", mulz_file, "--class", "closed",
+                     "--domain", "upper-half-plane"])
+        assert code == 3
 
     def test_numerical_failure_maps_to_exit_3(self, mulz_file, monkeypatch):
         from rootcert.errors import NonConvergence
@@ -268,10 +335,10 @@ class TestDeterminism:
         assert first == second
 
     def test_run_config_interface(self, capsys):
-        cfg = RunConfig(command="classify-point", operator_path=None,
-                        domain_spec=["upper-half-plane"], json_output=True,
-                        point=(0.0, 2.0))
+        args = build_parser().parse_args(
+            ["classify-point", "--domain", "upper-half-plane", "--json",
+             "--point", "0", "2"])
         buf = io.StringIO()
-        code = run(cfg, None, buf)
+        code = run(args, None, buf)
         assert code == 0
         assert json.loads(buf.getvalue())["tag"] == "interior"

@@ -92,6 +92,14 @@ class TestConstruction:
         with pytest.raises(DegenerateMoebius):
             MoebiusDomain(1, 1, 1, 1 + 1e-14)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, float("nan"),
+                                     float("inf")])
+    def test_band_tolerance_must_lie_in_unit_interval(self, tol):
+        # |side| <= (|az+b|^2 + |cz+d|^2) / 2: tol >= 1 tags every point as
+        # boundary, tol <= 0 (or NaN) tags none
+        with pytest.raises(ValueError):
+            MoebiusDomain(1, 0, 0, 1, tol=tol)
+
     def test_unknown_preset(self):
         with pytest.raises(UnknownPreset):
             preset("left-half-plane")
@@ -171,12 +179,6 @@ class TestMapAlgebra:
     def test_pole_property(self):
         assert preset("upper-half-plane").pole is None
         assert preset("unit-disk").pole == -1
-
-    def test_coefficients_round_trip(self):
-        dom = preset("exterior-unit-disk")
-        a, b, c, d = dom.coefficients()
-        clone = MoebiusDomain(a, b, c, d, tol=dom.tol)
-        assert clone.classify(5) is dom.classify(5)
 
 
 class TestRegionClass:

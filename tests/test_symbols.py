@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from rootcert import (BiPoly, CLOSURE_INTERIOR, INTERIOR_INTERIOR,
-                      LinearOperator, NonvanishingMode, Poly, RegionClass,
-                      ZeroInput, base_symbol, nonvanishing_check,
-                      operator_symbol, preset)
+from rootcert import (BiPoly, LinearOperator, Poly, ZeroInput, base_symbol,
+                      nonvanishing_check, operator_symbol, preset)
 
 H = preset("upper-half-plane")
 UD = preset("unit-disk")
@@ -34,7 +32,7 @@ class TestBaseSymbol:
         dom = preset(name)
         for n in range(9):
             S = base_symbol(dom, n)
-            assert np.abs(S.coeffs - S.transposed().coeffs).max() <= 1e-14
+            assert np.abs(S.coeffs - S.coeffs.T).max() <= 1e-14
 
 
 class TestOperatorSymbol:
@@ -69,38 +67,38 @@ class TestNonvanishingCheck:
     def test_sum_avoids_closure_pair(self):
         # z + w needs Im z < 0 to vanish with w interior
         F = BiPoly([[0, 1], [1, 0]])
-        res = nonvanishing_check(F, H, CLOSURE_INTERIOR, 256, rng=0)
+        res = nonvanishing_check(F, H, True, 256, rng=0)
         assert not res.found and res.w_samples == 256
 
     def test_disk_product_bound(self):
         F = BiPoly([[1, 0], [0, -1]])           # 1 - zw
-        res = nonvanishing_check(F, UD, INTERIOR_INTERIOR, 256, rng=0)
+        res = nonvanishing_check(F, UD, False, 256, rng=0)
         assert not res.found
 
     def test_coordinate_vanishes_on_boundary(self):
         # F = z vanishes at the boundary point 0, visible in closure mode
         F = BiPoly([[0], [1]])
-        res = nonvanishing_check(F, H, CLOSURE_INTERIOR, 64, rng=0)
+        res = nonvanishing_check(F, H, True, 64, rng=0)
         assert res.found
         assert abs(res.witness.z) < 1e-9
         assert res.witness.value <= 1e-8
 
     def test_boundary_root_ignored_in_interior_mode(self):
         F = BiPoly([[0], [1]])
-        res = nonvanishing_check(F, H, INTERIOR_INTERIOR, 64, rng=0)
+        res = nonvanishing_check(F, H, False, 64, rng=0)
         assert not res.found
 
     def test_interior_zero_found_in_both_modes(self):
         # F = z - i vanishes at the interior point i regardless of w
         F = BiPoly([[-1j], [1]])
-        for mode in (INTERIOR_INTERIOR, CLOSURE_INTERIOR):
-            res = nonvanishing_check(F, H, mode, 64, rng=0)
+        for boundary_counts in (False, True):
+            res = nonvanishing_check(F, H, boundary_counts, 64, rng=0)
             assert res.found
             assert abs(res.witness.z - 1j) < 1e-9
 
     def test_witness_reverifies(self):
         F = BiPoly([[-1j], [1]])
-        res = nonvanishing_check(F, H, INTERIOR_INTERIOR, 64, rng=0)
+        res = nonvanishing_check(F, H, False, 64, rng=0)
         w = res.witness
         scale = F.max_abs() * max(1, abs(w.z)) * 1.0
         assert abs(F(w.z, w.w)) <= 1e-8 * scale
@@ -109,7 +107,7 @@ class TestNonvanishingCheck:
 
     def test_zero_input_rejected(self):
         with pytest.raises(ZeroInput):
-            nonvanishing_check(BiPoly([[0.0]]), H, INTERIOR_INTERIOR, 8, rng=0)
+            nonvanishing_check(BiPoly([[0.0]]), H, False, 8, rng=0)
 
     def test_zero_slice_yields_witness(self):
         # F = (w - i/2) z vanishes on the whole slice w = i/2; force the
@@ -126,28 +124,26 @@ class TestNonvanishingCheck:
                     return np.zeros(size)          # real parts
                 return np.full(size, 0.5)          # imaginary parts
 
-        res = nonvanishing_check(F, H, INTERIOR_INTERIOR, 1, rng=Scripted())
+        res = nonvanishing_check(F, H, False, 1, rng=Scripted())
         assert res.found and res.zero_slices == 1
         assert abs(res.witness.w - 0.5j) < 1e-12
 
     def test_deterministic_given_seed(self):
         F = BiPoly([[-1j], [1]])
-        a = nonvanishing_check(F, H, INTERIOR_INTERIOR, 64, rng=123)
-        b = nonvanishing_check(F, H, INTERIOR_INTERIOR, 64, rng=123)
+        a = nonvanishing_check(F, H, False, 64, rng=123)
+        b = nonvanishing_check(F, H, False, 64, rng=123)
         assert a.witness == b.witness
 
     def test_heavy_tail_slices_stay_sound(self):
         # many samples so a few |w| >> 1 slices occur: the (z+w)^n power must
         # never produce an interior-tagged root for the identity operator
         F = base_symbol(H, 6)
-        res = nonvanishing_check(F, H, INTERIOR_INTERIOR, 1024, rng=2024)
+        res = nonvanishing_check(F, H, False, 1024, rng=2024)
         assert not res.found
 
-    def test_mode_validation(self):
+    def test_empty_sample_count_rejected(self):
         with pytest.raises(ValueError):
-            NonvanishingMode(RegionClass.EXTERIOR)
-        with pytest.raises(ValueError):
-            NonvanishingMode(RegionClass.INTERIOR, RegionClass.CLOSURE)
+            nonvanishing_check(BiPoly([[-1j], [1]]), H, False, 0, rng=0)
 
 
 class TestSliceCoherence:
