@@ -19,11 +19,12 @@ from .domains import MoebiusDomain, RegionClass, RegionTag
 from .errors import (AllImagesZero, DegreeOutOfRange, RootFindingFailed,
                      ZeroOperator)
 from .operators import LinearOperator, RankOneForm
-from .poly import (CLUSTER_RADIUS, BiPoly, Poly, RootMultiset, approx_gcd,
-                   from_roots, root_uncertainty, roots, roots_batch)
+from .poly import (BiPoly, Poly, RootMultiset, approx_gcd, from_roots,
+                   root_uncertainty, roots, roots_batch)
 from .symbols import ZeroWitness, _as_rng, nonvanishing_check, operator_symbol
 
 RESIDUAL_TOL = 1e-8
+BOUNDARY_FRACTION = 0.25   # share of boundary roots in closed-class samples
 
 
 class Verdict(str, Enum):
@@ -221,6 +222,15 @@ def _closed_core(op: LinearOperator, dom: MoebiusDomain, degrees, budget: Budget
     return verdict, witness, diag, tags
 
 
+def _degrees(op: LinearOperator, n_max: int) -> range:
+    """The symbol degrees 0..n_max; n_max must lie in [0, horizon]."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if n_max > op.horizon:
+        raise DegreeOutOfRange(f"n_max {n_max} exceeds the horizon {op.horizon}")
+    return range(n_max + 1)
+
+
 def certify_closed(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
                    budget: Budget = Budget()) -> CertReport:
     """Membership evidence for the closed complement class.
@@ -230,9 +240,7 @@ def certify_closed(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
     n_max is searched for zeros with both variables interior; identically
     zero symbols vacuously pass and are skipped.
     """
-    if n_max > op.horizon:
-        raise DegreeOutOfRange(f"n_max {n_max} exceeds the horizon {op.horizon}")
-    verdict, witness, diag, _ = _closed_core(op, dom, range(n_max + 1), budget, {})
+    verdict, witness, diag, _ = _closed_core(op, dom, _degrees(op, n_max), budget, {})
     diag["minimal_k"] = op.minimal_k()
     return CertReport(verdict, Route.CLOSED_SYMBOL, RegionClass.COMPLEMENT,
                       op.horizon, n_max, budget, witness, diag)
@@ -332,12 +340,11 @@ def certify_open(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
                           op.horizon, None, budget, w, diag)
     if op.is_zero():
         raise ZeroOperator("the open-class certifier needs a nonzero operator")
-    if n_max > op.horizon:
-        raise DegreeOutOfRange(f"n_max {n_max} exceeds the horizon {op.horizon}")
+    degrees = _degrees(op, n_max)
 
     symbols: dict[int, BiPoly] = {}
     closed_verdict, closed_witness, diag, tags = _closed_core(
-        op, dom, range(n_max + 1), budget, symbols)
+        op, dom, degrees, budget, symbols)
     diag["closed_verdict"] = closed_verdict.value
     diag["minimal_k"] = op.minimal_k()
 
@@ -348,7 +355,7 @@ def certify_open(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
         else Verdict.EVIDENCE_CONSISTENT
 
     closure_witness, diag["symbols_closure"] = _symbol_scan(
-        op, dom, range(n_max + 1), True, budget.w_samples, budget.stream(1), symbols)
+        op, dom, degrees, True, budget.w_samples, budget.stream(1), symbols)
     route5 = Verdict.FALSIFIED if closure_witness is not None \
         else Verdict.EVIDENCE_CONSISTENT
     diag["routes"] = {Route.CLOSED_PLUS_BOUNDARY.value: route4.value,
@@ -387,15 +394,14 @@ def certify_open(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
 # ---------------------------------------------------------------------------
 
 def _sample_class(dom: MoebiusDomain, cls: RegionClass, count: int,
-                  rng: np.random.Generator,
-                  boundary_fraction: float = 0.25) -> np.ndarray:
+                  rng: np.random.Generator) -> np.ndarray:
     """Root samples covering a region class; closed classes mix in boundary points."""
     if count == 0:
         return np.zeros(0, dtype=np.complex128)
     tags = cls.sample_tags
     if len(tags) == 1:
         return dom.sample(tags[0], count, rng)
-    on_boundary = rng.random(count) < boundary_fraction
+    on_boundary = rng.random(count) < BOUNDARY_FRACTION
     out = np.zeros(count, dtype=np.complex128)
     nb = int(on_boundary.sum())
     if nb:
@@ -457,8 +463,7 @@ def falsify(op: LinearOperator, dom: MoebiusDomain,
 # ---------------------------------------------------------------------------
 
 def gcd_image(op: LinearOperator, dom: MoebiusDomain, n: int,
-              sample_count: int = 50, rng=0,
-              cluster_radius: float = CLUSTER_RADIUS) -> Poly:
+              sample_count: int = 50, rng=0) -> Poly:
     """Monte-Carlo estimate of the GCD of images of degree-n interior-rooted inputs.
 
     The true common divisor divides every sampled GCD, and generic samples
@@ -477,4 +482,4 @@ def gcd_image(op: LinearOperator, dom: MoebiusDomain, n: int,
             images.append(img)
     if not images:
         raise AllImagesZero(f"all {sample_count} degree-{n} samples were annihilated")
-    return approx_gcd(images, cluster_radius=cluster_radius)
+    return approx_gcd(images)

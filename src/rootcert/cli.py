@@ -305,6 +305,8 @@ def _cmd_gcd_image(args: argparse.Namespace, op: LinearOperator, dom: MoebiusDom
 
 def _cmd_classify_point(args: argparse.Namespace, dom: MoebiusDomain,
                         out: TextIO) -> int:
+    if not all(math.isfinite(v) for v in args.point):
+        raise ParseError(f"--point must be two finite numbers, got {args.point}")
     z = complex(args.point[0], args.point[1])
     tag = dom.classify(z)
     side = dom.side(z)

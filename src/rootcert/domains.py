@@ -1,9 +1,10 @@
 """Circular domains as pullbacks of the upper half-plane under a Moebius map.
 
 A domain is the open region where Im((az+b) * conj(cz+d)) > 0, which matches
-the sign of Im((az+b)/(cz+d)) away from the pole.  Classification against the
-boundary uses a relative tolerance band so that downstream "root on the
-boundary" tests are well-posed in floating point.
+the sign of Im((az+b)/(cz+d)) away from the pole.  Points are tagged against
+the boundary with a relative tolerance band, so that "on the boundary" is
+well-posed in floating point.  A computed root counts toward a closed class
+only when its uncertainty ball reaches that class (robustly_in).
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ class RegionClass(Enum):
 _TAG_BY_CODE = {1: RegionTag.INTERIOR, 0: RegionTag.BOUNDARY, -1: RegionTag.EXTERIOR}
 
 _POLE_CLEARANCE = 1e-12
+# Relative rounding error of side(z) against its spherical scale.
+_SIDE_ROUNDING = 16.0 * float(np.finfo(np.float64).eps)
 _MAX_CONSECUTIVE_REJECTS = 100
 
 
@@ -119,12 +122,14 @@ class MoebiusDomain:
         out = (num * np.conj(den)).imag
         return float(out) if out.ndim == 0 else out
 
-    def _band(self, z):
+    def _sphere(self, z):
+        """(|az+b|**2 + |cz+d|**2) / 2, the spherical scale that bounds |side(z)|."""
         z = np.asarray(z, dtype=np.complex128)
-        num = self.a * z + self.b
-        den = self.c * z + self.d
-        out = self.tol * (np.abs(num) ** 2 + np.abs(den) ** 2) / 2.0
+        out = (np.abs(self.a * z + self.b) ** 2 + np.abs(self.c * z + self.d) ** 2) / 2.0
         return float(out) if out.ndim == 0 else out
+
+    def _band(self, z):
+        return self.tol * self._sphere(z)
 
     def side_gradient_bound(self, z):
         """Bound on how fast side() can change per unit displacement of z."""
@@ -138,21 +143,27 @@ class MoebiusDomain:
 
         True only when every point within ``uncertainty`` of z belongs to the
         class, with the boundary band counting toward the closed classes and
-        against the open ones.  Ill-determined locations (infinite
-        uncertainty) are never robust anywhere.
+        against the open ones.  The band tags points; it is no evidence that
+        a computed root lies on the boundary.  So a closed class also needs
+        the ball to reach the class itself, up to the rounding of side():
+        a well-conditioned root just outside stays outside, however wide the
+        band is at its |z|.  Ill-determined locations (infinite uncertainty)
+        are never robust anywhere.
         """
         s = self.side(z)
-        band = self._band(z)
+        sphere = self._sphere(z)
+        band = self.tol * sphere
         drift = self.side_gradient_bound(z) * uncertainty
         if not np.isfinite(drift):
             return False
         if cls is RegionClass.INTERIOR:
             return s - drift > band
-        if cls is RegionClass.CLOSURE:
-            return s - drift >= -band
         if cls is RegionClass.EXTERIOR:
             return s + drift < -band
-        return s + drift <= band
+        floor = _SIDE_ROUNDING * sphere
+        if cls is RegionClass.CLOSURE:
+            return s - drift >= -band and s + drift >= -floor
+        return s + drift <= band and s - drift <= floor
 
     def tag_codes(self, zs) -> np.ndarray:
         """Vectorized classification: +1 interior, 0 boundary band, -1 exterior."""
@@ -164,9 +175,6 @@ class MoebiusDomain:
 
     def classify(self, z: complex) -> RegionTag:
         return _TAG_BY_CODE[int(self.tag_codes([z])[0])]
-
-    def tags(self, zs) -> list[RegionTag]:
-        return [_TAG_BY_CODE[int(c)] for c in self.tag_codes(zs)]
 
     @property
     def pole(self) -> complex | None:

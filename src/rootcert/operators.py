@@ -147,7 +147,7 @@ class LinearOperator:
             qs.append((1.0 / math.factorial(m)) * resid)
         return qs
 
-    def rank_one_form(self, rtol: float = RANK_ONE_RTOL) -> RankOneForm | None:
+    def rank_one_form(self) -> RankOneForm | None:
         """Detects a one-dimensional range; the fit is re-verified, not assumed."""
         first = None
         for img in self.images:
@@ -168,7 +168,7 @@ class LinearOperator:
             alpha = complex(np.vdot(dv, iv) / dnorm2)
             resid = float(np.abs(iv - alpha * dv).max())
             scale = float(np.abs(iv).max())
-            if scale > 0 and resid > rtol * scale:
+            if scale > 0 and resid > RANK_ONE_RTOL * scale:
                 return None
             if scale == 0:
                 alpha = 0.0

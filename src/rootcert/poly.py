@@ -91,16 +91,16 @@ class Poly:
         c[k] = coeff
         return cls(c)
 
-    def degree(self, trim_tol: float = TRIM_TOL) -> int | None:
+    def degree(self) -> int | None:
         """Largest index above the relative noise floor; None for the zero polynomial."""
-        t = _trim(self.coeffs, trim_tol)
+        t = _trim(self.coeffs)
         return None if t is None else len(t) - 1
 
-    def is_zero(self, trim_tol: float = TRIM_TOL) -> bool:
-        return self.degree(trim_tol) is None
+    def is_zero(self) -> bool:
+        return self.degree() is None
 
-    def trimmed(self, trim_tol: float = TRIM_TOL) -> "Poly":
-        t = _trim(self.coeffs, trim_tol)
+    def trimmed(self) -> "Poly":
+        t = _trim(self.coeffs)
         return Poly.zero() if t is None else Poly(t)
 
     def padded(self, length: int) -> np.ndarray:
@@ -126,8 +126,8 @@ class Poly:
             return self
         return Poly(np.concatenate([np.zeros(k, dtype=np.complex128), self.coeffs]))
 
-    def monic(self, trim_tol: float = TRIM_TOL) -> "Poly":
-        t = _trim(self.coeffs, trim_tol)
+    def monic(self) -> "Poly":
+        t = _trim(self.coeffs)
         if t is None:
             raise ZeroPolynomial("the zero polynomial has no monic normalization")
         return Poly(t / t[-1])
@@ -187,16 +187,16 @@ class BiPoly:
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max())
 
-    def is_zero(self, trim_tol: float = TRIM_TOL) -> bool:
-        return self.max_abs() == 0.0 or not (np.abs(self.coeffs) > trim_tol * self.max_abs()).any()
+    def is_zero(self) -> bool:
+        return self.max_abs() == 0.0 or not (np.abs(self.coeffs) > TRIM_TOL * self.max_abs()).any()
 
-    def z_degree(self, trim_tol: float = TRIM_TOL) -> int | None:
-        mask = np.abs(self.coeffs) > trim_tol * max(self.max_abs(), 1e-300)
+    def z_degree(self) -> int | None:
+        mask = np.abs(self.coeffs) > TRIM_TOL * max(self.max_abs(), 1e-300)
         rows = np.nonzero(mask.any(axis=1))[0]
         return None if rows.size == 0 else int(rows[-1])
 
-    def w_degree(self, trim_tol: float = TRIM_TOL) -> int | None:
-        mask = np.abs(self.coeffs) > trim_tol * max(self.max_abs(), 1e-300)
+    def w_degree(self) -> int | None:
+        mask = np.abs(self.coeffs) > TRIM_TOL * max(self.max_abs(), 1e-300)
         cols = np.nonzero(mask.any(axis=0))[0]
         return None if cols.size == 0 else int(cols[-1])
 
@@ -260,10 +260,6 @@ class RootMultiset:
     residual: float
 
     @property
-    def locations(self) -> np.ndarray:
-        return np.array([r for r, _ in self.entries], dtype=np.complex128)
-
-    @property
     def multiplicities(self) -> tuple[int, ...]:
         return tuple(m for _, m in self.entries)
 
@@ -288,14 +284,14 @@ def _horner_batch(rows: np.ndarray, z: np.ndarray):
     return p, dp, bound
 
 
-def _aberth_points(rows: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
+def _aberth_points(rows: np.ndarray, max_iters: int) -> np.ndarray:
     """Aberth–Ehrlich sweep for a batch of same-degree polynomials.
 
     ``rows[:, i]`` holds z**i coefficients; the leading column must be nonzero
     in every row.  Each row is rescaled so its Fujiwara root bound becomes
     O(1) (heavy-tailed samples otherwise overflow the Horner evaluation), and
     starting points sit on a perturbed circle at that bound.  A point counts
-    as settled when its correction drops below tol * max(1, |y|) or its
+    as settled when its correction drops below ROOT_TOL * max(1, |y|) or its
     residual reaches the evaluation noise floor (the only achievable
     criterion at multiple roots).
     """
@@ -354,7 +350,7 @@ def _aberth_points(rows: np.ndarray, tol: float, max_iters: int) -> np.ndarray:
             w = np.where(np.isfinite(w), w, 0.05)
             ya = ya - w
             y[active] = ya
-            settled = at_floor | (np.abs(w) <= tol * np.maximum(1.0, np.abs(ya)))
+            settled = at_floor | (np.abs(w) <= ROOT_TOL * np.maximum(1.0, np.abs(ya)))
             done[active] = settled.all(axis=1)
     if not done.all():
         raise NonConvergence(f"root iteration did not settle within {max_iters} sweeps")
@@ -468,7 +464,7 @@ class _RootResolver:
             a, b, c0 = q[2], q[1], q[0]
             sq = np.sqrt(complex(b * b - 4.0 * a * c0))
             return [complex((-b - sq) / (2 * a)), complex((-b + sq) / (2 * a))]
-        pts = _aberth_points(q[None, :], ROOT_TOL, MAX_ITERS)[0]
+        pts = _aberth_points(q[None, :], MAX_ITERS)[0]
         return [self._polish(complex(p), on=m - 1, steps=1) for p in pts]
 
     def _validated(self, c: complex, m: int) -> bool:
@@ -580,8 +576,7 @@ def _finalize_points(coeffs: np.ndarray, pts: np.ndarray,
     return RootMultiset(tuple(entries), residual)
 
 
-def _roots_trimmed(trimmed: list[np.ndarray | None], tol: float,
-                   cluster_radius: float,
+def _roots_trimmed(trimmed: list[np.ndarray | None], cluster_radius: float,
                    max_iters: int) -> list[RootMultiset | None]:
     """Root multisets of trimmed coefficient arrays; None stays None.
 
@@ -600,41 +595,39 @@ def _roots_trimmed(trimmed: list[np.ndarray | None], tol: float,
     for width in sorted(groups):
         idxs = groups[width]
         rows = np.stack([trimmed[i] for i in idxs])
-        pts = _aberth_points(rows, tol, max_iters)
+        pts = _aberth_points(rows, max_iters)
         for row, i in enumerate(idxs):
             results[i] = _finalize_points(trimmed[i], pts[row], cluster_radius)
     return results
 
 
-def roots(p: Poly, tol: float = ROOT_TOL, cluster_radius: float = CLUSTER_RADIUS,
-          max_iters: int = MAX_ITERS, trim_tol: float = TRIM_TOL) -> RootMultiset:
+def roots(p: Poly, cluster_radius: float = CLUSTER_RADIUS,
+          max_iters: int = MAX_ITERS) -> RootMultiset:
     """All roots of p with clustered multiplicities.
 
     Raises ZeroPolynomial for the zero polynomial; a nonzero constant yields
     an empty multiset.  Entries within cluster_radius of each other are merged
     with summed multiplicity.
     """
-    c = _trim(p.coeffs, trim_tol)
+    c = _trim(p.coeffs)
     if c is None:
         raise ZeroPolynomial("roots of the zero polynomial are undefined")
-    return _roots_trimmed([c], tol, cluster_radius, max_iters)[0]
+    return _roots_trimmed([c], cluster_radius, max_iters)[0]
 
 
-def roots_batch(polys: Sequence, tol: float = ROOT_TOL,
-                cluster_radius: float = CLUSTER_RADIUS,
-                max_iters: int = MAX_ITERS,
-                trim_tol: float = TRIM_TOL) -> list[RootMultiset | None]:
+def roots_batch(polys: Sequence, trim_tol: float = TRIM_TOL) -> list[RootMultiset | None]:
     """Root multisets for many polynomials at once.
 
     The simultaneous iteration is batched across entries of equal trimmed
     degree, which is where the speed comes from when scanning hundreds of
     slice polynomials.  Zero polynomials map to None; constants map to an
-    empty multiset.
+    empty multiset.  trim_tol is the relative floor below which trailing
+    coefficients are dropped (0 drops exact zeros only).
     """
     return _roots_trimmed(
         [_trim(p.coeffs if isinstance(p, Poly) else _as_coeff_array(p), trim_tol)
          for p in polys],
-        tol, cluster_radius, max_iters)
+        CLUSTER_RADIUS, MAX_ITERS)
 
 
 def root_uncertainty(coeffs, root: complex, multiplicity: int = 1,
@@ -675,10 +668,10 @@ def from_roots(root_list: Iterable[complex], leading: complex = 1.0) -> Poly:
     return Poly(c)
 
 
-def approx_gcd(ps: Iterable[Poly], cluster_radius: float = CLUSTER_RADIUS) -> Poly:
+def approx_gcd(ps: Iterable[Poly]) -> Poly:
     """Monic polynomial whose roots are the clustered common roots of all members.
 
-    Root locations are matched across members within cluster_radius and the
+    Root locations are matched across members within CLUSTER_RADIUS and the
     common multiplicity is the minimum over members; with no common root the
     result is the constant 1.  Members must be nonzero after trimming.
     """
@@ -692,7 +685,7 @@ def approx_gcd(ps: Iterable[Poly], cluster_radius: float = CLUSTER_RADIUS) -> Po
             raise ZeroPolynomial("approx_gcd members must be nonzero")
         if d == 0:
             return Poly.one()
-        multisets.append(roots(p, cluster_radius=cluster_radius))
+        multisets.append(roots(p))
 
     agg = [{"loc": r, "mult": m, "sum": r, "n": 1} for r, m in multisets[0].entries]
     for rm in multisets[1:]:
@@ -701,7 +694,7 @@ def approx_gcd(ps: Iterable[Poly], cluster_radius: float = CLUSTER_RADIUS) -> Po
             best = None
             for r2, m2 in rm.entries:
                 dist = abs(r2 - a["loc"])
-                if dist <= cluster_radius and (best is None or dist < best[0]):
+                if dist <= CLUSTER_RADIUS and (best is None or dist < best[0]):
                     best = (dist, r2, m2)
             if best is not None:
                 a["mult"] = min(a["mult"], best[2])

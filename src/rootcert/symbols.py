@@ -18,8 +18,7 @@ import numpy as np
 from .domains import MoebiusDomain, RegionClass, RegionTag
 from .errors import ZeroInput
 from .operators import LinearOperator
-from .poly import (BiPoly, CLUSTER_RADIUS, TRIM_TOL, _polyval,
-                   root_uncertainty, roots_batch)
+from .poly import BiPoly, TRIM_TOL, _polyval, root_uncertainty, roots_batch
 
 ZERO_TOL = 1e-8
 DEFAULT_W_SAMPLES = 512
@@ -77,18 +76,20 @@ def _witness_scale(F: BiPoly, z: complex, w: complex) -> float:
 
 def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, boundary_counts: bool,
                        w_samples: int = DEFAULT_W_SAMPLES,
-                       rng=0, zero_tol: float = ZERO_TOL,
-                       cluster_radius: float = CLUSTER_RADIUS) -> NonvanishingResult:
+                       rng=0) -> NonvanishingResult:
     """Search for a zero of F with w interior and z interior, or z in the
     closure when boundary_counts is set.
 
     All w-points are drawn up front from the generator, slices are rooted in
     one batch, and the witness (if any) is the one from the smallest sample
-    index, so the outcome is deterministic given the seed.  Boundary-tagged
-    slice roots count as witnesses only when boundary_counts is set.  Every
-    candidate is re-verified against |F| <= zero_tol * coefficient scale
-    before being reported; slices that vanish identically are confirmed by a
-    direct evaluation of F at an interior probe point and otherwise skipped.
+    index, so the outcome is deterministic given the seed.  A slice root
+    counts only when its uncertainty ball keeps it in the claimed class
+    (``robustly_in``): the boundary band tags points, and a computed root
+    counts toward the closure only if its ball reaches the closure itself.
+    Every candidate is re-verified against |F| <= ZERO_TOL * coefficient
+    scale before being reported.  Slices that trim to zero are counted in
+    ``zero_slices`` and skipped: a continuous sampler lands on a root of F's
+    w-content with probability zero, so such a slice is no witness.
     """
     if F.is_zero():
         raise ZeroInput("the zero polynomial vanishes everywhere")
@@ -107,37 +108,21 @@ def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, boundary_counts: bool,
     # the constant term, and trimming it would fabricate roots.
     natural = np.abs(powers) @ np.abs(C).T
     cancelled = np.abs(slices) <= TRIM_TOL * natural
-    trimmed: list[np.ndarray | None] = []
+    live: list[int] = []
+    trimmed: list[np.ndarray] = []
     for s in range(w_samples):
         live_idx = np.nonzero(~cancelled[s])[0]
-        trimmed.append(None if live_idx.size == 0
-                       else slices[s, : live_idx[-1] + 1])
-    is_zero_slice = np.array([t is None for t in trimmed])
+        if live_idx.size:
+            live.append(s)
+            trimmed.append(slices[s, : live_idx[-1] + 1])
+    zero_slices = w_samples - len(live)
+    multisets = roots_batch(trimmed, trim_tol=0.0)
 
-    live = [s for s in range(w_samples) if trimmed[s] is not None]
-    multisets = roots_batch([trimmed[s] for s in live],
-                            cluster_radius=cluster_radius, trim_tol=0.0)
-    multiset_by_sample: dict[int, object] = {}
-    for s, rm in zip(live, multisets):
-        multiset_by_sample[s] = rm
-
-    zero_slices = 0
     rejected = 0
-    for s in range(w_samples):
+    for s, slice_coeffs, rm in zip(live, trimmed, multisets):
+        if not rm.entries:
+            continue
         w0 = complex(ws[s])
-        if is_zero_slice[s]:
-            zero_slices += 1
-            probe = complex(dom.sample(RegionTag.INTERIOR, 1, rng)[0])
-            val = abs(F(probe, w0))
-            if val <= zero_tol * _witness_scale(F, probe, w0):
-                return NonvanishingResult(
-                    ZeroWitness(probe, w0, val, refined=False),
-                    w_samples, zero_slices, rejected)
-            continue
-        rm = multiset_by_sample[s]
-        if rm is None or not rm.entries:
-            continue
-        slice_coeffs = trimmed[s]
         dslice = slice_coeffs[1:] * np.arange(1, len(slice_coeffs))
         for root, mult in rm.entries:
             tag = dom.classify(root)
@@ -162,7 +147,7 @@ def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, boundary_counts: bool,
                 if better and dom.robustly_in(claim, step, rho):
                     z_star, refined = step, True
             val = abs(F(z_star, w0))
-            if val <= zero_tol * _witness_scale(F, z_star, w0):
+            if val <= ZERO_TOL * _witness_scale(F, z_star, w0):
                 return NonvanishingResult(
                     ZeroWitness(complex(z_star), w0, val, refined),
                     w_samples, zero_slices, rejected)

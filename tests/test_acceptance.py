@@ -199,7 +199,7 @@ def test_criterion_10_numerical_kernels():
             k = int(rng.integers(1, 11))
             targets = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
             rm = roots(from_roots(targets))
-            got = sorted(np.repeat(rm.locations, rm.multiplicities),
+            got = sorted((r for r, m in rm.entries for _ in range(m)),
                          key=lambda z: (z.real, z.imag))
             want = sorted(targets, key=lambda z: (z.real, z.imag))
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-6

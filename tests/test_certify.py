@@ -244,6 +244,12 @@ class TestReportPlumbing:
         with pytest.raises(DegreeOutOfRange):
             certify_open(LinearOperator.identity(3), H, n_max=5, budget=SMALL)
 
+    @pytest.mark.parametrize("certify", [certify_closed, certify_open])
+    def test_negative_nmax_rejected(self, certify):
+        # range(n_max + 1) would be empty: no symbol scanned, a vacuous pass
+        with pytest.raises(ValueError):
+            certify(IDENTITY, H, n_max=-1, budget=SMALL)
+
     def test_budget_streams_are_independent_and_stable(self):
         b = Budget(seed=4)
         a1 = b.stream(0).standard_normal(4)
@@ -329,3 +335,17 @@ class TestClassConsistency:
             routes = opened.diagnostics.get("routes")
             if routes is not None:
                 assert routes["agree"], (name, routes)
+
+    @pytest.mark.parametrize("name, domain, seed", [
+        # a far-field exterior slice root inside the wide band at its |z|
+        ("diag-inv-factorial", "upper-half-plane", 3),
+        ("diag-inv-factorial", "lower-half-plane", 3),
+        # a slice that cancels at a sample near the content's root at -i
+        ("rank1-eval-i", "unit-disk", 17),
+    ])
+    def test_closure_scan_finds_no_false_witness(self, battery, name, domain,
+                                                 seed):
+        rep = certify_open(battery[name], preset(domain), 8,
+                           Budget(w_samples=128, seed=seed))
+        routes = rep.diagnostics["routes"]
+        assert routes["agree"], routes

@@ -189,6 +189,20 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().out == ""
 
+    def test_negative_nmax_is_a_usage_error(self, mulz_file, capsys):
+        for cls in ("closed", "open"):
+            code = main(["certify", mulz_file, "--domain", "upper-half-plane",
+                         "--class", cls, "--nmax", "-1"])
+            assert code == 2
+            assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("point", [["nan", "0"], ["inf", "0"], ["0", "inf"]])
+    def test_non_finite_point_rejected(self, point, capsys):
+        code = main(["classify-point", "--domain", "upper-half-plane",
+                     "--point", *point, "--json"])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+
     def test_bad_tol_rejected_by_classify_point(self):
         assert main(["classify-point", "--domain", "upper-half-plane",
                      "--point", "0", "1", "--tol", "2"]) == 2

@@ -64,7 +64,7 @@ class TestClassify:
             dom = preset(name)
             codes = dom.tag_codes(zs)
             assert set(np.unique(codes)) <= {-1, 0, 1}
-            for tag in dom.tags(zs[:50]):
+            for tag in map(dom.classify, zs[:50]):
                 assert tag.in_closure or tag is RegionTag.EXTERIOR
                 assert tag.in_complement or tag is RegionTag.INTERIOR
 
@@ -113,7 +113,9 @@ class TestSampling:
         dom = preset(name)
         pts = dom.sample(region, 200, np.random.default_rng(3))
         assert len(pts) == 200
-        assert all(t is region for t in dom.tags(pts))
+        code = {RegionTag.INTERIOR: 1, RegionTag.BOUNDARY: 0,
+                RegionTag.EXTERIOR: -1}[region]
+        assert np.all(dom.tag_codes(pts) == code)
 
     def test_identity_interior_has_positive_imag(self):
         dom = preset("upper-half-plane")
@@ -205,3 +207,22 @@ class TestRegionClass:
         assert not dom.robustly_in(RegionClass.CLOSURE, 0.0, 1.0)
         assert not dom.robustly_in(RegionClass.EXTERIOR, 0.0, 1e-12)
         assert not dom.robustly_in(RegionClass.INTERIOR, 1j, float("inf"))
+
+    def test_band_tags_points_but_does_not_vouch_for_roots(self):
+        # the band half-width at |z| ~ 1e5 is about 6, so this point tags
+        # boundary; a root there with a tiny uncertainty ball is still
+        # provably below the axis, in neither closure-side claim
+        dom = preset("upper-half-plane")
+        z = 109729 - 4.18j
+        assert dom.classify(z) is RegionTag.BOUNDARY
+        assert dom.classify(z.conjugate()) is RegionTag.BOUNDARY
+        assert not dom.robustly_in(RegionClass.CLOSURE, z, 3.1e-8)
+        assert not dom.robustly_in(RegionClass.COMPLEMENT, z.conjugate(), 3.1e-8)
+        assert dom.robustly_in(RegionClass.COMPLEMENT, z, 3.1e-8)
+        assert dom.robustly_in(RegionClass.CLOSURE, z.conjugate(), 3.1e-8)
+
+    def test_boundary_roots_up_to_rounding_stay_in_closure(self):
+        dom = preset("upper-half-plane")
+        assert dom.robustly_in(RegionClass.CLOSURE, 1 + 0j, 2e-13)
+        assert dom.robustly_in(RegionClass.CLOSURE, 6e-66 - 6e-66j, 0.0)
+        assert dom.robustly_in(RegionClass.COMPLEMENT, 6e-66 + 6e-66j, 0.0)
