@@ -472,8 +472,10 @@ def gcd_image(op: LinearOperator, dom: MoebiusDomain, n: int,
     """
     if sample_count < 2:
         raise ValueError("gcd_image needs at least two samples")
+    if n < 0:
+        raise ValueError(f"gcd_image needs a degree n >= 0, got n = {n}")
     if n > op.horizon:
-        raise DegreeOutOfRange(f"degree {n} exceeds the horizon {op.horizon}")
+        raise DegreeOutOfRange(f"degree n = {n} exceeds the horizon {op.horizon}")
     rng = _as_rng(rng)
     images = []
     for _ in range(sample_count):

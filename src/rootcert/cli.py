@@ -229,6 +229,11 @@ def _print_report(report: CertReport, cls: str, out: TextIO) -> None:
 def _cmd_certify(args: argparse.Namespace, op: LinearOperator, dom: MoebiusDomain,
                  out: TextIO) -> int:
     budget = Budget(w_samples=args.samples, trials=args.trials, seed=args.seed)
+    if op.bounded_degree is not None and args.n_max is not None:
+        raise ValueError(
+            f"--nmax does not apply to a degree-bounded operator (bounded_degree "
+            f"= {op.bounded_degree}): the closed class is checked at that degree "
+            f"only and the open class by the falsifier")
     n_max = min(8, op.horizon) if args.n_max is None else args.n_max
     if args.cls == "closed":
         if op.bounded_degree is not None:
@@ -357,7 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", choices=("open", "closed"),
                    required=True)
     p.add_argument("--nmax", type=int, default=None, dest="n_max",
-                   help="symbol degrees to scan (default: min(8, horizon))")
+                   help="symbol degrees to scan (default: min(8, horizon)); "
+                        "refused for a degree-bounded operator")
     p.add_argument("--samples", type=int, default=512)
     p.add_argument("--trials", type=int, default=2000)
 

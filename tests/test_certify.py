@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rootcert import (LinearOperator, Poly, RegionClass, RegionTag,
-                      ZeroOperator, preset)
+from rootcert import (LinearOperator, MoebiusDomain, Poly, RegionClass,
+                      RegionTag, ZeroOperator, preset)
 from rootcert.certify import (Budget, PolyWitness, Route, Verdict,
                               boundary_root_check, certify_closed,
                               certify_closed_bounded, certify_open, falsify,
@@ -28,6 +28,15 @@ class TestCertifyClosed:
         rep = certify_closed(IDENTITY, H, budget=SMALL)
         assert rep.verdict is Verdict.EVIDENCE_CONSISTENT
         assert rep.route is Route.CLOSED_SYMBOL
+
+    @pytest.mark.parametrize("certify", [certify_closed, certify_open])
+    def test_identity_passes_on_a_badly_scaled_domain(self, certify):
+        # the symbols are powers of B1, all divided out; scanned undivided,
+        # the resolver turned B1's exterior 7-fold slice root into an interior
+        # point at n = 7 and the identity came out falsified
+        dom = MoebiusDomain(1.4, 1.9j, 0.8, 0.1)
+        rep = certify(IDENTITY, dom, budget=SMALL)
+        assert rep.verdict is Verdict.EVIDENCE_CONSISTENT
 
     def test_coordinate_multiplication_passes_closed(self):
         rep = certify_closed(MUL_Z, H, budget=SMALL)
@@ -234,6 +243,10 @@ class TestGcdImage:
     def test_sample_count_validation(self):
         with pytest.raises(ValueError):
             gcd_image(IDENTITY, H, 2, 1, rng=0)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="n = -1"):
+            gcd_image(IDENTITY, H, -1, 10, rng=0)
 
 
 class TestReportPlumbing:

@@ -30,6 +30,15 @@ def mulz_file(tmp_path):
 
 
 @pytest.fixture
+def bounded_identity_file(tmp_path):
+    path = tmp_path / "bounded-identity.json"
+    path.write_text(json.dumps({
+        "form": "diff", "N": 2, "bounded_degree": 2,
+        "coeffs": {"0": [[1.0, 0.0]]}}))
+    return str(path)
+
+
+@pytest.fixture
 def dmz_file(tmp_path):
     path = tmp_path / "dmz.json"
     path.write_text(json.dumps(DERIV_MINUS_Z_DOC))
@@ -195,6 +204,44 @@ class TestExitCodes:
                          "--class", cls, "--nmax", "-1"])
             assert code == 2
             assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("cls", ["closed", "open"])
+    @pytest.mark.parametrize("nmax", ["-1", "2", "99"])
+    def test_nmax_refused_for_a_bounded_operator(self, bounded_identity_file,
+                                                 cls, nmax, capsys):
+        code = main(["certify", bounded_identity_file, "--domain",
+                     "upper-half-plane", "--class", cls, "--nmax", nmax])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --nmax does not apply to a degree-bounded")
+
+    @pytest.mark.parametrize("cls", ["closed", "open"])
+    def test_bounded_operator_runs_without_nmax(self, bounded_identity_file,
+                                                cls, capsys):
+        code = main(["certify", bounded_identity_file, "--domain",
+                     "upper-half-plane", "--class", cls, "--samples", "32",
+                     "--trials", "50", "--json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["route"] == ("closed-symbol-bounded" if cls == "closed"
+                                else "falsifier")
+
+    @pytest.mark.parametrize("command, n", [("symbol", "99"), ("symbol", "-1"),
+                                            ("gcd-image", "-1"),
+                                            ("gcd-image", "9")])
+    def test_degree_out_of_range_is_a_usage_error(self, command, n, tmp_path,
+                                                  capsys):
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps({"form": "diff", "N": 8,
+                                    "coeffs": {"0": [[1, 0]]}}))
+        code = main([command, str(path), "--domain", "upper-half-plane",
+                     "--n", n])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and f"n = {n}" in err
+        assert len(err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("point", [["nan", "0"], ["inf", "0"], ["0", "inf"]])
     def test_non_finite_point_rejected(self, point, capsys):

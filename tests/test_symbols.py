@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from rootcert import (BiPoly, LinearOperator, Poly, ZeroInput, base_symbol,
-                      nonvanishing_check, operator_symbol, preset)
+from rootcert import (BiPoly, LinearOperator, MoebiusDomain, Poly, ZeroInput,
+                      base_symbol, nonvanishing_check, operator_symbol, preset)
+from rootcert import symbols
+from rootcert.certify import Budget, certify_closed, certify_open
+from rootcert.cli import report_json
 
 H = preset("upper-half-plane")
 UD = preset("unit-disk")
@@ -61,6 +65,16 @@ class TestOperatorSymbol:
         T = LinearOperator.identity(2)
         with pytest.raises(DegreeOutOfRange):
             operator_symbol(T, H, 3)
+
+    @pytest.mark.parametrize("n", [-1, 99])
+    def test_degree_checked_before_the_base_symbol(self, n, monkeypatch):
+        from rootcert import DegreeOutOfRange
+        built = []
+        monkeypatch.setattr(symbols, "base_symbol",
+                            lambda dom, k: built.append(k))
+        with pytest.raises(DegreeOutOfRange, match=f"n = {n}"):
+            operator_symbol(LinearOperator.identity(8), H, n)
+        assert built == []
 
 
 class TestNonvanishingCheck:
@@ -160,3 +174,105 @@ class TestSliceCoherence:
                 lhs = sym.restrict_w(w0)
                 rhs = T.apply(base.restrict_w(w0))
                 assert lhs.allclose(rhs, rtol=1e-10)
+
+
+# factors of the degree-1 base symbol carried by each battery symbol at n = 8
+CORE_POWER_AT_8 = {
+    "identity": 8, "diag-ones": 8, "mul-z": 8, "mul-z+i": 8, "mul-z-1": 8,
+    "mul-z-i": 8, "derivative": 7, "deriv-minus-z": 7, "diag-k+1": 7,
+    "one-plus-D": 7, "diag-inv-factorial": 0, "diag-2^k": 0,
+    "rank1-interior": 0, "rank1-boundary": 0, "rank1-exterior": 0,
+    "rank1-eval-i": 0,
+    **{f"random-diff-{i}": 6 for i in range(5)},
+}
+
+
+def _rebuild_error(F: np.ndarray, G: np.ndarray, dom) -> float:
+    """max|F - B1 G| / max|F|; a quotient has one row and column fewer."""
+    P = (base_symbol(dom, 1) * BiPoly(G)).coeffs
+    return float(np.abs(F - P).max() / np.abs(F).max())
+
+
+class TestCoreCofactor:
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_core_power_table(self, name, battery):
+        dom = preset(name)
+        assert set(battery) == set(CORE_POWER_AT_8)
+        for op_name, op in battery.items():
+            F = operator_symbol(op, dom, 8)
+            G, m = symbols._core_cofactor(F, dom)
+            assert m == CORE_POWER_AT_8[op_name], op_name
+            rebuilt = (base_symbol(dom, m) * G).coeffs
+            np.testing.assert_allclose(
+                rebuilt, F.coeffs[: rebuilt.shape[0], : rebuilt.shape[1]],
+                atol=1e-10 * F.max_abs())
+            assert np.all(F.coeffs[rebuilt.shape[0]:] == 0)
+            assert np.all(F.coeffs[:, rebuilt.shape[1]:] == 0)
+
+    def test_no_division_returns_the_symbol_itself(self, battery):
+        F = operator_symbol(battery["diag-2^k"], H, 8)
+        G, m = symbols._core_cofactor(F, H)
+        assert m == 0 and G is F
+
+    @pytest.mark.parametrize("dom, root", [(H, 1j), (UD, 0.5j)])
+    def test_planted_zero_at_a_divided_degree(self, dom, root):
+        F = base_symbol(dom, 3) * BiPoly([[-root], [1]])
+        res = nonvanishing_check(F, dom, False, 16, 0)
+        assert res.core_power == 3
+        assert res.found
+        w = res.witness
+        assert abs(w.z - root) < 1e-9
+        assert abs(F(w.z, w.w)) <= symbols.ZERO_TOL * symbols._witness_scale(
+            F, w.z, w.w)
+
+    def test_badly_scaled_domain_accepts_only_tight_quotients(self, battery,
+                                                              monkeypatch):
+        dom = MoebiusDomain(1.4, 1.9j, 0.8, 0.1)
+        calls = []
+        divide = symbols._divide_once
+
+        def recording(F, K, pivot):
+            G = divide(F, K, pivot)
+            calls.append((F, G))
+            return G
+
+        monkeypatch.setattr(symbols, "_divide_once", recording)
+        stopped_early = 0
+        for op_name, op in battery.items():
+            F = operator_symbol(op, dom, 8)
+            calls.clear()
+            _, m = symbols._core_cofactor(F, dom)
+            for dividend, quotient in calls[:m]:
+                assert _rebuild_error(dividend, quotient, dom) \
+                    <= symbols.CORE_RTOL, op_name
+            if m < len(calls):
+                dividend, quotient = calls[m]
+                assert _rebuild_error(dividend, quotient, dom) \
+                    > symbols.CORE_RTOL, op_name
+            stopped_early += m < CORE_POWER_AT_8[op_name]
+        # the recurrence loses digits here, so some division stops early
+        assert stopped_early > 0
+
+
+class TestCoreDivisionKeepsReports:
+    @pytest.mark.parametrize("name", ["upper-half-plane", "unit-disk"])
+    def test_reports_match_undivided_scan(self, name, battery, monkeypatch):
+        dom = preset(name)
+        budget = Budget(w_samples=64, trials=200, seed=1)
+        ops = ["random-diff-0", "one-plus-D", "deriv-minus-z", "identity"]
+
+        def reports():
+            out = []
+            for op_name in ops:
+                op = battery[op_name]
+                out.append(json.dumps(report_json(
+                    certify_closed(op, dom, budget=budget), "closed"),
+                    sort_keys=True))
+                out.append(json.dumps(report_json(
+                    certify_open(op, dom, budget=budget), "open"),
+                    sort_keys=True))
+            return out
+
+        divided = reports()
+        monkeypatch.setattr(symbols, "_core_cofactor", lambda F, dom: (F, 0))
+        assert reports() == divided
