@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rootcert import LinearOperator, Poly, preset
-from rootcert.certify import certify_closed, certify_open
+from rootcert.certify import CertReport, certify_closed, certify_open
+from rootcert.symbols import nonvanishing_check, operator_symbol
 
 HORIZON = 8
 
@@ -62,3 +63,38 @@ def battery_reports(battery):
     dom = preset("upper-half-plane")
     return {name: (certify_closed(op, dom), certify_open(op, dom))
             for name, op in battery.items()}
+
+
+def closure_scan_finds_zero(op: LinearOperator, dom, report: CertReport) -> bool:
+    """Whether a closure-mode symbol scan finds a zero with z in the closure
+    and w interior, at the report's degrees and budget.
+
+    It stops at the first zero and skips identically zero symbols, drawing
+    its w-samples from the budget's stream 1, so it stands apart from the
+    closed scan (stream 0) that the report's verdict rests on.
+    """
+    budget = report.budget
+    rng = budget.stream(1)
+    for n in range(report.n_max + 1):
+        sym = operator_symbol(op, dom, n)
+        if sym.is_zero():
+            continue
+        if nonvanishing_check(sym, dom, True, budget.w_samples, rng=rng).found:
+            return True
+    return False
+
+
+def open_routes_agree(op: LinearOperator, dom, report: CertReport) -> bool:
+    """Whether the open report's route (the closed scan plus the minimal-k
+    boundary test) falsifies exactly when the closure-mode scan finds a zero.
+    A report without those diagnostics raises KeyError, never passes."""
+    diag = report.diagnostics
+    falsifies = (diag["closed_verdict"] == "falsified"
+                 or not diag["boundary_check"]["passed"])
+    return closure_scan_finds_zero(op, dom, report) == falsifies
+
+
+@pytest.fixture(scope="session")
+def routes_agree():
+    """open_routes_agree, for test modules."""
+    return open_routes_agree

@@ -21,6 +21,8 @@ from rootcert.poly import roots_batch
 
 H = preset("upper-half-plane")
 L = preset("lower-half-plane")
+PRESETS = ("upper-half-plane", "lower-half-plane", "unit-disk",
+           "exterior-unit-disk")
 N = 8
 
 MUL_Z = LinearOperator.multiply_by(Poly([0, 1]), N)
@@ -84,9 +86,9 @@ def test_criterion_03_coefficient_swap_gcd():
         images[0] = Poly([0, -1])
         images[3] = Poly.one()
         T = LinearOperator(images)
-        g2 = gcd_image(T, H, 2, 50, rng=0)
+        g2 = gcd_image(T, 2)
         np.testing.assert_allclose(g2.trimmed().coeffs, [0, 1], atol=1e-6)
-        g3 = gcd_image(T, H, 3, 50, rng=0)
+        g3 = gcd_image(T, 3)
         np.testing.assert_allclose(g3.trimmed().coeffs, [1.0], atol=1e-6)
 
 
@@ -135,12 +137,18 @@ def test_criterion_06_open_implies_closed(battery_reports):
                 assert closed.verdict is not Verdict.FALSIFIED, name
 
 
-def test_criterion_07_route_agreement(battery_reports):
-    with criterion(7, "both open-class routes agree on every battery operator"):
-        for name, (_, opened) in battery_reports.items():
-            routes = opened.diagnostics.get("routes")
-            if routes is not None:
-                assert routes["agree"], (name, routes)
+def test_criterion_07_route_agreement(battery, routes_agree):
+    with criterion(7, "the open verdict's route agrees with a closure-mode "
+                      "symbol scan on every battery operator, all presets"):
+        budget = Budget(w_samples=128, seed=0)
+        disagree = []
+        for dom_name in PRESETS:
+            dom = preset(dom_name)
+            for name, op in battery.items():
+                opened = certify_open(op, dom, n_max=8, budget=budget)
+                if not routes_agree(op, dom, opened):
+                    disagree.append((dom_name, name))
+        assert disagree == []
 
 
 def test_criterion_08_gcd_divisibility_chain(battery, battery_reports):
@@ -150,8 +158,7 @@ def test_criterion_08_gcd_divisibility_chain(battery, battery_reports):
             if closed.verdict is Verdict.FALSIFIED:
                 continue
             op = battery[name]
-            gcds = {m: gcd_image(op, H, m, 50, rng=80 + m)
-                    for m in range(2, 6)}
+            gcds = {m: gcd_image(op, m) for m in range(2, 6)}
             entries = {m: (roots(g).entries if (g.degree() or 0) > 0 else ())
                        for m, g in gcds.items()}
             for m in range(2, 5):

@@ -330,12 +330,30 @@ class TestSubcommands:
         path = tmp_path / "swap.json"
         path.write_text(json.dumps(doc))
         code = main(["gcd-image", str(path), "--domain", "upper-half-plane",
-                     "--n", "2", "--samples", "50", "--json"])
+                     "--n", "2", "--json"])
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(
             [complex(re, im) for re, im in out["gcd"]], [0, 1], atol=1e-6)
         assert out["stable_under_doubling"] is True
+        assert sorted(out) == ["gcd", "n", "stable_under_doubling"]
+
+    def test_gcd_image_keeps_a_common_root_on_the_circle(self, tmp_path, capsys):
+        # mul-z-1: every image (z - 1) z^k has the root 1, on the unit circle
+        path = tmp_path / "mul-z-1.json"
+        path.write_text(json.dumps(serialize_operator(
+            LinearOperator.multiply_by(Poly([-1, 1]), 8))))
+        code = main(["gcd-image", str(path), "--domain", "exterior-unit-disk",
+                     "--n", "5", "--json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["gcd"] == [[-1, 0], [1, 0]]
+
+    def test_gcd_image_takes_no_samples(self, tmp_path):
+        path = tmp_path / "id.json"
+        path.write_text(json.dumps({"form": "diff", "N": 4,
+                                    "coeffs": {"0": [[1, 0]]}}))
+        assert main(["gcd-image", str(path), "--domain", "upper-half-plane",
+                     "--n", "2", "--samples", "50"]) == 2
 
     def test_classify_point(self, capsys):
         code = main(["classify-point", "--domain", "unit-disk",
