@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .domains import MoebiusDomain, RegionClass, RegionTag
+from .domains import _TAG_BY_CODE, MoebiusDomain, RegionClass, RegionTag
 from .errors import (AllImagesZero, DegreeOutOfRange, RootFindingFailed,
                      ZeroOperator)
 from .operators import LinearOperator, RankOneForm
@@ -402,6 +402,13 @@ def falsify(op: LinearOperator, dom: MoebiusDomain,
     violations.  A bad root must land strictly outside the target class: for
     open targets the boundary band counts as outside, for closed targets it
     does not.  An empty result is a valid outcome, not an error.
+
+    Trials are built and rooted in trial-order chunks, one degree cycle
+    first and twice the previous chunk after that; each chunk's image roots
+    are tagged in one ``tag_codes`` call, and the search returns at the
+    first verified witness.  Inputs draw from rng in trial order either way,
+    so the witness is the one with the smallest trial index, as if every
+    trial were rooted at once.
     """
     target = source if target is None else target
     rng = _as_rng(rng)
@@ -414,26 +421,25 @@ def falsify(op: LinearOperator, dom: MoebiusDomain,
     if hi > cap:
         raise DegreeOutOfRange(f"degree range reaches {hi}, above the operator cap {cap}")
 
-    inputs: list[Poly] = []
-    images: list[Poly] = []
-    for t in range(trials):
-        d = lo + (t % (hi - lo + 1))
-        p = from_roots(_sample_class(dom, source, d, rng), 1.0)
-        inputs.append(p)
-        images.append(op.apply(p))
-
-    multisets = roots_batch([im.coeffs for im in images])
-    for t in range(trials):
-        rm = multisets[t]
-        if rm is None or not rm.entries:
-            continue
-        for r, _ in rm.entries:
-            if target.contains(dom.classify(r)):
+    cycle = hi - lo + 1
+    start, size = 0, cycle
+    while start < trials:
+        stop = min(trials, start + size)
+        inputs = [from_roots(_sample_class(dom, source, lo + t % cycle, rng), 1.0)
+                  for t in range(start, stop)]
+        images = [op.apply(p) for p in inputs]
+        multisets = roots_batch([im.coeffs for im in images])
+        found = [(t, r) for t, rm in enumerate(multisets) if rm is not None
+                 for r, _ in rm.entries]
+        codes = dom.tag_codes([r for _, r in found])
+        for (t, r), code in zip(found, codes.tolist()):
+            if target.contains(_TAG_BY_CODE[code]):
                 continue
             w = _verified_poly_witness(op, dom, inputs[t], images[t],
                                        source, target, preferred=r)
             if w is not None:
                 return w
+        start, size = stop, 2 * size
     return None
 
 

@@ -46,6 +46,8 @@ def _as_coeff_array(values) -> np.ndarray:
 
 def _trim(arr: np.ndarray, trim_tol: float = TRIM_TOL) -> np.ndarray | None:
     """Coefficients with noise-level trailing entries removed; None if zero."""
+    if trim_tol == 0.0 and arr[-1] != 0:
+        return arr          # at trim_tol 0 a nonzero last entry leaves nothing to drop
     mags = np.abs(arr)
     top = float(mags.max())
     if top == 0.0:
@@ -273,7 +275,7 @@ class RootMultiset:
 
 def _horner_batch(rows: np.ndarray, z: np.ndarray):
     """Values, derivative values and L1 evaluation bounds at a batch of points."""
-    p = np.broadcast_to(rows[:, -1:], z.shape).astype(np.complex128).copy()
+    p = np.repeat(rows[:, -1:].astype(np.complex128), z.shape[1], axis=1)
     dp = np.zeros_like(p)
     bound = np.abs(p)
     az = np.abs(z)
@@ -576,12 +578,68 @@ def _finalize_points(coeffs: np.ndarray, pts: np.ndarray,
     return RootMultiset(tuple(entries), residual)
 
 
+def _simple_multisets(rows: np.ndarray, pts: np.ndarray,
+                      cluster_radius: float) -> list[RootMultiset | None]:
+    """Root multisets of the rows whose points are all simple; None elsewhere.
+
+    A row is simple when no two of its points lie within the resolver's link
+    radius.  _finalize_points would then resolve every point as a
+    one-point component, so this does its work as array operations: two
+    guarded Newton steps per point keeping the best (_RootResolver._polish),
+    normalization and the (real, imag) sort as in _merge and resolve, and the
+    scaled residual.  Rows with a non-finite point, a linked pair, or two
+    polished points within cluster_radius (which _merge would join) come back
+    None.  The values and derivatives come from _horner_batch, whose complex
+    products numpy may fuse, so locations can differ from the scalar path in
+    the last bits.
+    """
+    out: list[RootMultiset | None] = [None] * len(rows)
+    d = pts.shape[1]
+    off = ~np.eye(d, dtype=bool)
+    with np.errstate(all="ignore"):
+        mag = np.maximum(1.0, np.abs(pts))
+        reach = np.maximum(cluster_radius, _SPLIT_NOISE ** (1.0 / d)
+                           * np.maximum(mag[:, :, None], mag[:, None, :]))
+        linked = (np.abs(pts[:, :, None] - pts[:, None, :]) <= reach) & off
+        idx = np.nonzero(np.isfinite(pts).all(axis=1) & ~linked.any(axis=(1, 2)))[0]
+        if idx.size == 0:
+            return out
+        c = rows[idx]
+        z0 = pts[idx]
+        # _polish's two guarded steps; a zero derivative gives a non-finite
+        # step, which the masks reject as _polish's break does
+        v0, d0, _ = _horner_batch(c, z0)
+        z1 = z0 - v0 / d0
+        v1, d1, _ = _horner_batch(c, z1)
+        z2 = z1 - v1 / d1
+        v2, _, _ = _horner_batch(c, z2)
+        a1 = np.abs(v1)
+        step1 = (d0 != 0) & (a1 < np.abs(v0))
+        step2 = step1 & (d1 != 0) & (np.abs(v2) < a1)
+        best = np.where(step2, z2, np.where(step1, z1, z0)) + 0.0   # -0.0 -> 0.0
+        val = np.where(step2, v2, np.where(step1, v1, v0))
+        joined = ((np.abs(best[:, :, None] - best[:, None, :]) <= cluster_radius)
+                  & off).any(axis=(1, 2))
+        scale = np.abs(c).max(axis=1, keepdims=True) \
+            * np.maximum(1.0, np.abs(best)) ** d
+        residual = (np.abs(val) / scale).max(axis=1)
+    # numpy orders complex values by (real, imag), as resolve's sort does
+    best = np.sort(best, axis=1)
+    for row, locs, res, bad in zip(idx.tolist(), best.tolist(),
+                                   residual.tolist(), joined.tolist()):
+        if not bad:
+            out[row] = RootMultiset(tuple((z, 1) for z in locs), res)
+    return out
+
+
 def _roots_trimmed(trimmed: list[np.ndarray | None], cluster_radius: float,
                    max_iters: int) -> list[RootMultiset | None]:
     """Root multisets of trimmed coefficient arrays; None stays None.
 
     The one root path behind roots and roots_batch.  roots calls this, not
     roots_batch, so that perfbench's roots_batch counters see batch calls only.
+    Rows whose points are all simple are finished together
+    (_simple_multisets); the rest go through the resolver one by one.
     """
     results: list[RootMultiset | None] = [None] * len(trimmed)
     groups: dict[int, list[int]] = {}
@@ -596,8 +654,10 @@ def _roots_trimmed(trimmed: list[np.ndarray | None], cluster_radius: float,
         idxs = groups[width]
         rows = np.stack([trimmed[i] for i in idxs])
         pts = _aberth_points(rows, max_iters)
+        simple = _simple_multisets(rows, pts, cluster_radius)
         for row, i in enumerate(idxs):
-            results[i] = _finalize_points(trimmed[i], pts[row], cluster_radius)
+            results[i] = simple[row] if simple[row] is not None \
+                else _finalize_points(trimmed[i], pts[row], cluster_radius)
     return results
 
 
@@ -620,9 +680,13 @@ def roots_batch(polys: Sequence, trim_tol: float = TRIM_TOL) -> list[RootMultise
 
     The simultaneous iteration is batched across entries of equal trimmed
     degree, which is where the speed comes from when scanning hundreds of
-    slice polynomials.  Zero polynomials map to None; constants map to an
-    empty multiset.  trim_tol is the relative floor below which trailing
-    coefficients are dropped (0 drops exact zeros only).
+    slice polynomials.  Rows whose points are all simple roots are then
+    finished together as arrays; only rows with a cluster of points go
+    through the multiplicity resolver one by one, so a simple root may
+    differ from the resolver's in the last bits.  Zero polynomials map to
+    None; constants map to an empty multiset.  trim_tol is the relative
+    floor below which trailing coefficients are dropped (0 drops exact zeros
+    only, and a row whose last entry is nonzero is taken as it is).
     """
     return _roots_trimmed(
         [_trim(p.coeffs if isinstance(p, Poly) else _as_coeff_array(p), trim_tol)

@@ -149,11 +149,13 @@ def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, boundary_counts: bool,
     in both modes, and its slices lose B1's exterior m-fold root.
 
     All w-points are drawn up front from the generator, slices are rooted in
-    one batch, and the witness (if any) is the one from the smallest sample
-    index, so the outcome is deterministic given the seed.  A slice root
-    counts only when its uncertainty ball keeps it in the claimed class
-    (``robustly_in``): the boundary band tags points, and a computed root
-    counts toward the closure only if its ball reaches the closure itself.
+    one batch, their roots are tagged in one ``tag_codes`` call, and the
+    witness (if any) is the one from the smallest sample index (then the
+    first entry of that slice's multiset), so the outcome is deterministic
+    given the seed.  A slice root counts only when its uncertainty ball
+    keeps it in the claimed class (``robustly_in``): the boundary band tags
+    points, and a computed root counts toward the closure only if its ball
+    reaches the closure itself.
     Every candidate is re-verified on the full F, against |F| <= ZERO_TOL *
     coefficient scale, before being reported.  Slices that trim to zero are
     counted in ``zero_slices`` and skipped: a continuous sampler lands on a
@@ -177,49 +179,45 @@ def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, boundary_counts: bool,
     # give slices whose genuine leading coefficient sits many orders below
     # the constant term, and trimming it would fabricate roots.
     natural = np.abs(powers) @ np.abs(C).T
-    cancelled = np.abs(slices) <= TRIM_TOL * natural
-    live: list[int] = []
-    trimmed: list[np.ndarray] = []
-    for s in range(w_samples):
-        live_idx = np.nonzero(~cancelled[s])[0]
-        if live_idx.size:
-            live.append(s)
-            trimmed.append(slices[s, : live_idx[-1] + 1])
+    kept = ~(np.abs(slices) <= TRIM_TOL * natural)
+    live = np.nonzero(kept.any(axis=1))[0].tolist()
+    ends = (kept.shape[1] - np.argmax(kept[:, ::-1], axis=1)).tolist()   # last kept + 1
+    trimmed = [slices[s, : ends[s]] for s in live]
     zero_slices = w_samples - len(live)
     multisets = roots_batch(trimmed, trim_tol=0.0)
 
+    # one region-tag call for every slice root; a root is a candidate when
+    # its code is interior (1), or boundary (0) when the boundary counts
+    found = [(row, root, mult) for row, rm in enumerate(multisets)
+             for root, mult in rm.entries]
+    codes = dom.tag_codes([root for _, root, _ in found])
     rejected = 0
-    for s, slice_coeffs, rm in zip(live, trimmed, multisets):
-        if not rm.entries:
-            continue
-        w0 = complex(ws[s])
-        dslice = slice_coeffs[1:] * np.arange(1, len(slice_coeffs))
-        for root, mult in rm.entries:
-            tag = dom.classify(root)
-            if not (tag is RegionTag.INTERIOR
-                    or (tag is RegionTag.BOUNDARY and boundary_counts)):
-                continue
-            # the tag only counts once the root's location uncertainty
-            # (coefficient noise pushed through the root) keeps it on the
-            # claimed side; ill-conditioned near-boundary roots are skipped,
-            # biasing toward the budget-qualified "no zero found" rather than
-            # a bogus witness
-            rho = root_uncertainty(slice_coeffs, root, mult)
-            if not dom.robustly_in(claim, root, rho):
-                rejected += 1
-                continue
-            z_star, refined = root, False
-            gprime = complex(_polyval(dslice, root)) if len(dslice) else 0j
-            if gprime != 0:
-                step = root - mult * complex(_polyval(slice_coeffs, root)) / gprime
-                better = abs(complex(_polyval(slice_coeffs, step))) \
-                    < abs(complex(_polyval(slice_coeffs, root)))
-                if better and dom.robustly_in(claim, step, rho):
-                    z_star, refined = step, True
-            val = abs(F(z_star, w0))
-            if val <= ZERO_TOL * _witness_scale(F, z_star, w0):
-                return NonvanishingResult(
-                    ZeroWitness(complex(z_star), w0, val, refined),
-                    w_samples, zero_slices, rejected, core_power)
+    for i in np.nonzero(codes >= (0 if boundary_counts else 1))[0].tolist():
+        row, root, mult = found[i]
+        slice_coeffs = trimmed[row]
+        w0 = complex(ws[live[row]])
+        # the tag only counts once the root's location uncertainty
+        # (coefficient noise pushed through the root) keeps it on the
+        # claimed side; ill-conditioned near-boundary roots are skipped,
+        # biasing toward the budget-qualified "no zero found" rather than
+        # a bogus witness
+        rho = root_uncertainty(slice_coeffs, root, mult)
+        if not dom.robustly_in(claim, root, rho):
             rejected += 1
+            continue
+        z_star, refined = root, False
+        dslice = slice_coeffs[1:] * np.arange(1, len(slice_coeffs))
+        gprime = complex(_polyval(dslice, root)) if len(dslice) else 0j
+        if gprime != 0:
+            step = root - mult * complex(_polyval(slice_coeffs, root)) / gprime
+            better = abs(complex(_polyval(slice_coeffs, step))) \
+                < abs(complex(_polyval(slice_coeffs, root)))
+            if better and dom.robustly_in(claim, step, rho):
+                z_star, refined = step, True
+        val = abs(F(z_star, w0))
+        if val <= ZERO_TOL * _witness_scale(F, z_star, w0):
+            return NonvanishingResult(
+                ZeroWitness(complex(z_star), w0, val, refined),
+                w_samples, zero_slices, rejected, core_power)
+        rejected += 1
     return NonvanishingResult(None, w_samples, zero_slices, rejected, core_power)

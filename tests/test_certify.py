@@ -217,6 +217,62 @@ class TestFalsify:
         assert a.bad_root == b.bad_root
         np.testing.assert_array_equal(a.p.coeffs, b.p.coeffs)
 
+    @staticmethod
+    def _counting_roots_batch(monkeypatch):
+        import rootcert.certify as certify_mod
+        rows = []
+        batch = certify_mod.roots_batch
+
+        def counting(polys, *args, **kwargs):
+            out = batch(polys, *args, **kwargs)
+            rows.append(len(out))
+            return out
+
+        monkeypatch.setattr(certify_mod, "roots_batch", counting)
+        return rows
+
+    @staticmethod
+    def _all_at_once(op, dom, source, target, degree_range, trials, seed):
+        """The falsifier with every trial built and rooted before any check."""
+        from rootcert.certify import _sample_class, _verified_poly_witness
+        from rootcert.poly import from_roots, roots_batch
+        rng = np.random.default_rng(seed)
+        lo, hi = degree_range
+        inputs = [from_roots(_sample_class(dom, source, lo + t % (hi - lo + 1), rng))
+                  for t in range(trials)]
+        images = [op.apply(p) for p in inputs]
+        for p, image, rm in zip(inputs, images,
+                                roots_batch([im.coeffs for im in images])):
+            for r, _ in (rm.entries if rm is not None else ()):
+                if target.contains(dom.classify(r)):
+                    continue
+                w = _verified_poly_witness(op, dom, p, image, source, target,
+                                           preferred=r)
+                if w is not None:
+                    return w
+        return None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_early_exit_keeps_the_first_witness(self, seed, monkeypatch):
+        rows = self._counting_roots_batch(monkeypatch)
+        w = falsify(MUL_Z, H, RegionClass.INTERIOR, RegionClass.INTERIOR,
+                    (0, 6), 500, np.random.default_rng(seed))
+        ref = self._all_at_once(MUL_Z, H, RegionClass.INTERIOR,
+                                RegionClass.INTERIOR, (0, 6), 500, seed)
+        assert w is not None and ref is not None
+        assert w.bad_root == ref.bad_root
+        np.testing.assert_array_equal(w.p.coeffs, ref.p.coeffs)
+        np.testing.assert_array_equal(w.image.coeffs, ref.image.coeffs)
+        assert sum(rows) < 500
+
+    def test_preserver_roots_every_trial(self, monkeypatch):
+        rows = self._counting_roots_batch(monkeypatch)
+        assert falsify(IDENTITY, H, RegionClass.INTERIOR, RegionClass.INTERIOR,
+                       (0, 6), 500, np.random.default_rng(0)) is None
+        assert sum(rows) == 500
+        # chunks of one degree cycle, then doubling
+        assert rows == [7, 14, 28, 56, 112, 224, 59]
+
 
 class TestGcdImage:
     def test_coefficient_swap_operator_low_degree(self):

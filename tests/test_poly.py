@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,12 @@ class TestRoots:
         assert len(rm.entries) == 1
         (loc, mult), = rm.entries
         assert mult == 2 and abs(loc - 0.5) < 1e-3
+
+    def test_root_at_the_origin_is_positive_zero(self):
+        (loc, mult), = roots(Poly([0, 1])).entries
+        assert mult == 1 and loc == 0
+        assert math.copysign(1.0, loc.real) == 1.0
+        assert math.copysign(1.0, loc.imag) == 1.0
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
