@@ -19,7 +19,7 @@ from .domains import _TAG_BY_CODE, MoebiusDomain, RegionClass, RegionTag
 from .errors import (AllImagesZero, DegreeOutOfRange, RootFindingFailed,
                      ZeroOperator)
 from .operators import LinearOperator, RankOneForm
-from .poly import (Poly, RootMultiset, approx_gcd, from_roots,
+from .poly import (Poly, RootMultiset, _expand_rows, approx_gcd, from_roots,
                    root_uncertainty, roots, roots_batch)
 from .symbols import ZeroWitness, _as_rng, nonvanishing_check, operator_symbol
 
@@ -390,6 +390,19 @@ def _sample_class(dom: MoebiusDomain, cls: RegionClass, count: int,
     return out
 
 
+def _trial_roots(dom: MoebiusDomain, cls: RegionClass, degrees: np.ndarray,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Row t holds the degrees[t] roots of trial t, drawn in trial order as
+    _sample_class draws them, then zero padding."""
+    tags = cls.sample_tags
+    if len(tags) == 1:
+        return dom.sample_rows(tags[0], degrees, rng)
+    out = np.zeros((degrees.size, int(degrees.max())), dtype=np.complex128)
+    for t, d in enumerate(degrees.tolist()):
+        out[t, :d] = _sample_class(dom, cls, d, rng)
+    return out
+
+
 def falsify(op: LinearOperator, dom: MoebiusDomain,
             source: RegionClass = RegionClass.INTERIOR,
             target: RegionClass | None = None,
@@ -404,11 +417,15 @@ def falsify(op: LinearOperator, dom: MoebiusDomain,
     does not.  An empty result is a valid outcome, not an error.
 
     Trials are built and rooted in trial-order chunks, one degree cycle
-    first and twice the previous chunk after that; each chunk's image roots
+    first and twice the previous chunk after that.  Each chunk's inputs are
+    drawn as one block (open source classes; closed ones mix in boundary
+    points and draw trial by trial), expanded one degree at a time by
+    ``_expand_rows`` and mapped by one ``apply_rows`` pass; its image roots
     are tagged in one ``tag_codes`` call, and the search returns at the
     first verified witness.  Inputs draw from rng in trial order either way,
     so the witness is the one with the smallest trial index, as if every
-    trial were rooted at once.
+    trial were built by ``_sample_class``, ``from_roots`` and ``op.apply``
+    and rooted at once.
     """
     target = source if target is None else target
     rng = _as_rng(rng)
@@ -425,18 +442,22 @@ def falsify(op: LinearOperator, dom: MoebiusDomain,
     start, size = 0, cycle
     while start < trials:
         stop = min(trials, start + size)
-        inputs = [from_roots(_sample_class(dom, source, lo + t % cycle, rng), 1.0)
-                  for t in range(start, stop)]
-        images = [op.apply(p) for p in inputs]
-        multisets = roots_batch([im.coeffs for im in images])
+        degrees = lo + np.arange(start, stop) % cycle
+        root_rows = _trial_roots(dom, source, degrees, rng)
+        inputs = np.zeros((stop - start, hi + 1), dtype=np.complex128)
+        for j in range(min(cycle, stop - start)):
+            d = int(degrees[j])
+            inputs[j::cycle, : d + 1] = _expand_rows(root_rows[j::cycle, :d])
+        multisets = roots_batch(op.apply_rows(inputs))
         found = [(t, r) for t, rm in enumerate(multisets) if rm is not None
                  for r, _ in rm.entries]
         codes = dom.tag_codes([r for _, r in found])
         for (t, r), code in zip(found, codes.tolist()):
             if target.contains(_TAG_BY_CODE[code]):
                 continue
-            w = _verified_poly_witness(op, dom, inputs[t], images[t],
-                                       source, target, preferred=r)
+            p = Poly(inputs[t, : degrees[t] + 1])
+            w = _verified_poly_witness(op, dom, p, op.apply(p), source, target,
+                                       preferred=r)
             if w is not None:
                 return w
         start, size = stop, 2 * size

@@ -11,6 +11,7 @@ Exit codes: 0 certified / evidence-consistent, 1 falsified (witness printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -330,7 +331,10 @@ def _parse_degrees(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it;
+    parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="rootcert",
         description="Certify or falsify root-location preservation by linear "

@@ -215,20 +215,8 @@ class MoebiusDomain:
         while have < count:
             chunk = count - have
             x = rng.standard_cauchy(chunk)
-            if region is RegionTag.BOUNDARY:
-                y = np.zeros(chunk)
-            else:
-                y = np.abs(rng.standard_cauchy(chunk))
-                if region is RegionTag.EXTERIOR:
-                    y = -y
-            z = self.pullback(x + 1j * y)
-            z = np.atleast_1d(z)
-            ok = np.isfinite(z)
-            if self.pole is not None:
-                ok &= np.abs(z - self.pole) > _POLE_CLEARANCE
-            ok &= self.tag_codes(z) == {RegionTag.INTERIOR: 1,
-                                        RegionTag.BOUNDARY: 0,
-                                        RegionTag.EXTERIOR: -1}[region]
+            y = None if region is RegionTag.BOUNDARY else rng.standard_cauchy(chunk)
+            z, ok = self._pulled_back(region, x, y)
             good = z[ok]
             take = min(len(good), chunk)
             out[have: have + take] = good[:take]
@@ -241,6 +229,56 @@ class MoebiusDomain:
             else:
                 consecutive = 0
         return out
+
+    def sample_rows(self, region: RegionTag, counts: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+        """Row i holds sample(region, counts[i], rng), the calls made in row order.
+
+        The Cauchy draws of all rows come in one block, laid out as the
+        calls would draw them.  If any point is rejected, the generator's
+        state is restored and the rows are drawn one call at a time, so the
+        stream and the points are the same either way.  Rows are padded
+        with zeros to the largest count.
+        """
+        counts = np.asarray(counts, dtype=np.intp)
+        width = int(counts.max(initial=0))
+        cols = np.arange(width)
+        per_call = 1 if region is RegionTag.BOUNDARY else 2   # x, then y
+        first = np.cumsum(per_call * counts) - per_call * counts
+        taken = cols < counts[:, None]
+        xi = (first[:, None] + cols)[taken]
+        state = rng.bit_generator.state
+        draws = rng.standard_cauchy(per_call * int(counts.sum()))
+        y = None if per_call == 1 else draws[xi + np.repeat(counts, counts)]
+        z, ok = self._pulled_back(region, draws[xi], y)
+        out = np.zeros((counts.size, width), dtype=np.complex128)
+        if ok.all():
+            out[taken] = z
+            return out
+        rng.bit_generator.state = state
+        for i, count in enumerate(counts.tolist()):
+            out[i, :count] = self.sample(region, count, rng)
+        return out
+
+    def _pulled_back(self, region: RegionTag, x: np.ndarray,
+                     y: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """The points that Cauchy draws x and y (none on the boundary) give
+        for region, and the mask of those sample() keeps: finite, clear of
+        the pole and classifying to region."""
+        if y is None:
+            y = np.zeros(len(x))
+        else:
+            y = np.abs(y)
+            if region is RegionTag.EXTERIOR:
+                y = -y
+        z = np.atleast_1d(self.pullback(x + 1j * y))
+        ok = np.isfinite(z)
+        if self.pole is not None:
+            ok &= np.abs(z - self.pole) > _POLE_CLEARANCE
+        ok &= self.tag_codes(z) == {RegionTag.INTERIOR: 1,
+                                    RegionTag.BOUNDARY: 0,
+                                    RegionTag.EXTERIOR: -1}[region]
+        return z, ok
 
 
 PRESETS = {

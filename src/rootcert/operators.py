@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegreeOutOfRange
-from .poly import BiPoly, Poly
+from .poly import BiPoly, Poly, _trimmed_degrees
 
 RANK_ONE_RTOL = 1e-9
 
@@ -93,26 +93,35 @@ class LinearOperator:
         return None
 
     def apply(self, p: Poly) -> Poly:
-        d = p.degree()
-        if d is None:
-            return Poly.zero()
-        if d > self.horizon:
+        """T[p], as long as the longest image of z^k for k up to deg p.
+
+        The one-row case of apply_rows, so it equals that row of a batch bit
+        for bit.
+        """
+        return Poly(self.apply_rows(p.coeffs[None, :])[0])
+
+    def apply_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Images of a block of inputs, one coefficient row each.
+
+        Each row is trimmed as Poly.degree trims it, and its images are
+        accumulated in k order; the block is as wide as the longest image of
+        z^k for k up to the largest input degree.
+        """
+        degs = _trimmed_degrees(rows)
+        top = int(degs.max(initial=-1))
+        if top > self.horizon:
             raise DegreeOutOfRange(
-                f"input degree {d} exceeds the operator horizon {self.horizon}")
-        if self.bounded_degree is not None and d > self.bounded_degree:
+                f"input degree {top} exceeds the operator horizon {self.horizon}")
+        if self.bounded_degree is not None and top > self.bounded_degree:
             raise DegreeOutOfRange(
-                f"input degree {d} exceeds the degree bound {self.bounded_degree}")
-        width = 1
-        for k in range(d + 1):
-            width = max(width, self.images[k].coeffs.size)
-        acc = np.zeros(width, dtype=np.complex128)
-        for k in range(d + 1):
-            ck = p.coeffs[k]
-            if ck == 0:
-                continue
-            img = self.images[k].coeffs
-            acc[: img.size] += ck * img
-        return Poly(acc)
+                f"input degree {top} exceeds the degree bound {self.bounded_degree}")
+        images = [img.coeffs for img in self.images[: top + 1]]
+        coeffs = np.where(np.arange(top + 1) <= degs[:, None], rows[:, : top + 1], 0)
+        out = np.zeros((rows.shape[0], max((img.size for img in images), default=1)),
+                       dtype=np.complex128)
+        for k, img in enumerate(images):
+            out[:, : img.size] += coeffs[:, k: k + 1] * img
+        return out
 
     def apply_bivariate(self, F: BiPoly) -> BiPoly:
         """Extension treating w as a constant: each w-power slice maps independently."""
@@ -120,13 +129,7 @@ class LinearOperator:
         if dz is not None and dz > self.horizon:
             raise DegreeOutOfRange(
                 f"z-degree {dz} exceeds the operator horizon {self.horizon}")
-        cols = F.coeffs.shape[1]
-        images = [self.apply(F.z_slice(j)) for j in range(cols)]
-        rows = max(img.coeffs.size for img in images)
-        out = np.zeros((rows, cols), dtype=np.complex128)
-        for j, img in enumerate(images):
-            out[: img.coeffs.size, j] = img.coeffs
-        return BiPoly(out)
+        return BiPoly(self.apply_rows(F.coeffs.T).T)
 
     # -- structure ---------------------------------------------------------
 

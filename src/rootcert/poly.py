@@ -58,6 +58,14 @@ def _trim(arr: np.ndarray, trim_tol: float = TRIM_TOL) -> np.ndarray | None:
     return np.ascontiguousarray(arr[: keep[-1] + 1])
 
 
+def _trimmed_degrees(rows: np.ndarray) -> np.ndarray:
+    """Poly.degree of every row of a coefficient block, -1 for zero rows."""
+    mags = np.abs(rows)
+    keep = mags > TRIM_TOL * mags.max(axis=1, keepdims=True)
+    last = rows.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+    return np.where(keep.any(axis=1), last, -1)
+
+
 def _polyval(coeffs: np.ndarray, z):
     acc = coeffs[-1] * np.ones_like(np.asarray(z, dtype=np.complex128))
     for i in range(len(coeffs) - 2, -1, -1):
@@ -721,15 +729,34 @@ def root_uncertainty(coeffs, root: complex, multiplicity: int = 1,
     return noise * bound / denom
 
 
+def _expand_rows(root_rows: np.ndarray, leading: complex = 1.0) -> np.ndarray:
+    """Row i holds the coefficients of leading * prod_k (z - root_rows[i, k]).
+
+    Every row takes the recurrence c <- [c * (-r_k), 0] + [0, c] in k order
+    with the same elementwise operations, so a row expanded alone equals the
+    same row inside any batch bit for bit.
+    """
+    n, d = root_rows.shape
+    c = np.full((n, 1), leading, dtype=np.complex128)
+    for k in range(d):
+        nxt = np.zeros((n, k + 2), dtype=np.complex128)
+        nxt[:, 1:] = c
+        nxt[:, : k + 1] += c * -root_rows[:, k: k + 1]
+        c = nxt
+    return c
+
+
 def from_roots(root_list: Iterable[complex], leading: complex = 1.0) -> Poly:
-    """Expanded product leading * prod(z - r)."""
+    """Expanded product leading * prod(z - r), the one-row case of _expand_rows.
+
+    It multiplies in one linear factor at a time; against a product of
+    np.convolve steps the coefficients differ only by rounding.
+    """
     lead = complex(leading)
     if lead == 0:
         raise ValueError("leading coefficient must be nonzero")
-    c = np.array([lead], dtype=np.complex128)
-    for r in root_list:
-        c = np.convolve(c, np.array([-complex(r), 1.0], dtype=np.complex128))
-    return Poly(c)
+    rts = np.asarray(list(root_list), dtype=np.complex128).reshape(1, -1)
+    return Poly(_expand_rows(rts, lead)[0])
 
 
 def approx_gcd(ps: Iterable[Poly]) -> Poly:

@@ -19,6 +19,8 @@ IDENTITY = LinearOperator.identity(N)
 D = LinearOperator.derivative(N)
 MUL_Z = LinearOperator.multiply_by(Poly([0, 1]), N)
 DERIV_MINUS_Z = LinearOperator.from_diff_expansion([Poly([0, -1]), Poly([1])], N)
+MUL_Z_PLUS_I = LinearOperator.multiply_by(Poly([1j, 1]), N)
+WIDE_BAND = MoebiusDomain(1, 0, 0, 1, tol=0.5)
 
 SMALL = Budget(w_samples=128, trials=400, seed=0)
 
@@ -252,18 +254,50 @@ class TestFalsify:
                     return w
         return None
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_early_exit_keeps_the_first_witness(self, seed, monkeypatch):
+    @pytest.mark.parametrize("op, dom, source, seed", [
+        *(pytest.param(MUL_Z, H, RegionClass.INTERIOR, seed, id=str(seed))
+          for seed in range(5)),
+        # the exterior source of certify_open's bounded route
+        *(pytest.param(MUL_Z, L, RegionClass.EXTERIOR, seed,
+                       id=f"exterior-lower-{seed}") for seed in range(3)),
+        # closed sources keep drawing trial by trial
+        *(pytest.param(MUL_Z_PLUS_I, H, RegionClass.CLOSURE, seed,
+                       id=f"closure-upper-{seed}") for seed in range(3)),
+        # a wide band rejects draws, so chunks are drawn again trial by trial
+        *(pytest.param(MUL_Z, WIDE_BAND, RegionClass.INTERIOR, seed,
+                       id=f"wide-band-{seed}") for seed in range(3)),
+    ])
+    def test_early_exit_keeps_the_first_witness(self, op, dom, source, seed,
+                                                monkeypatch):
         rows = self._counting_roots_batch(monkeypatch)
-        w = falsify(MUL_Z, H, RegionClass.INTERIOR, RegionClass.INTERIOR,
-                    (0, 6), 500, np.random.default_rng(seed))
-        ref = self._all_at_once(MUL_Z, H, RegionClass.INTERIOR,
-                                RegionClass.INTERIOR, (0, 6), 500, seed)
+        w = falsify(op, dom, source, source, (0, 6), 500,
+                    np.random.default_rng(seed))
+        ref = self._all_at_once(op, dom, source, source, (0, 6), 500, seed)
         assert w is not None and ref is not None
         assert w.bad_root == ref.bad_root
         np.testing.assert_array_equal(w.p.coeffs, ref.p.coeffs)
         np.testing.assert_array_equal(w.image.coeffs, ref.image.coeffs)
         assert sum(rows) < 500
+
+    @pytest.mark.parametrize("tol", [0.5, 0.3, 1e-3])
+    @pytest.mark.parametrize("source", [RegionClass.INTERIOR,
+                                        RegionClass.EXTERIOR])
+    def test_chunk_draw_is_the_per_trial_stream(self, source, tol):
+        # each chunk is drawn as one block; where a point is rejected the
+        # chunk is drawn again trial by trial from the restored state.  At
+        # tol 0.5 and 0.3 every seed takes the second path, at 1e-3 about
+        # half of them do
+        from rootcert.certify import _sample_class, _trial_roots
+        dom = MoebiusDomain(1, 0, 0, 1, tol=tol)
+        degrees = np.arange(14) % 7
+        for seed in range(50):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = _trial_roots(dom, source, degrees, rng)
+            ref = np.concatenate([_sample_class(dom, source, d, ref_rng)
+                                  for d in degrees.tolist()])
+            got = rows[np.arange(rows.shape[1]) < degrees[:, None]]
+            assert got.tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_preserver_roots_every_trial(self, monkeypatch):
         rows = self._counting_roots_batch(monkeypatch)

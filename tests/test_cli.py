@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rootcert
 from rootcert import HorizonError, LinearOperator, ParseError, Poly
 from rootcert.cli import (build_parser, main, parse_domain, parse_operator,
                           run, serialize_operator)
@@ -412,6 +417,27 @@ class TestDeterminism:
         main(args)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_shared_parser_matches_fresh_processes(self, mulz_file, capsys):
+        # main() builds its parser once per process: a usage error first must
+        # leave later calls as they would be in a process of their own
+        calls = [["certify", mulz_file, "--class", "sideways",
+                  "--domain", "upper-half-plane"],
+                 ["certify", mulz_file, "--class", "closed", "--samples", "64",
+                  "--domain", "upper-half-plane", "--json"],
+                 ["falsify", mulz_file, "--trials", "200",
+                  "--domain", "upper-half-plane", "--json"]]
+        shared = []
+        for argv in calls:
+            code = main(argv)
+            shared.append((code, capsys.readouterr().out))
+        src = str(Path(rootcert.__file__).resolve().parents[1])
+        fresh = [subprocess.run([sys.executable, "-m", "rootcert.cli", *argv],
+                                capture_output=True, text=True, timeout=120,
+                                env={**os.environ, "PYTHONPATH": src})
+                 for argv in calls]
+        assert [code for code, _ in shared] == [2, 0, 1]
+        assert shared == [(done.returncode, done.stdout) for done in fresh]
 
     def test_run_config_interface(self, capsys):
         args = build_parser().parse_args(

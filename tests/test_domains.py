@@ -160,6 +160,21 @@ class TestSampling:
         with pytest.raises(DegenerateSample):
             dom.sample(RegionTag.INTERIOR, 5, HugeTails())
 
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_boundary_rows_are_the_per_call_stream(self, name):
+        # boundary calls draw x only, so a row takes one Cauchy number per
+        # point; the open regions are checked through the falsifier's draw
+        dom = preset(name)
+        counts = np.arange(12) % 5
+        for seed in range(10):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rows = dom.sample_rows(RegionTag.BOUNDARY, counts, rng)
+            ref = np.concatenate([dom.sample(RegionTag.BOUNDARY, c, ref_rng)
+                                  for c in counts.tolist()])
+            got = rows[np.arange(rows.shape[1]) < counts[:, None]]
+            assert got.tobytes() == ref.tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_sampling_deterministic(self):
         dom = preset("unit-disk")
         a = dom.sample(RegionTag.INTERIOR, 64, np.random.default_rng(9))

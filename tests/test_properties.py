@@ -3,10 +3,13 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rootcert import BiPoly, base_symbol, preset
-from rootcert.poly import (CLUSTER_RADIUS, MAX_ITERS, _SPLIT_NOISE, _aberth_points,
-                           _finalize_points, _simple_multisets, roots_batch)
+from rootcert import BiPoly, Poly, base_symbol, from_roots, preset
+from rootcert.poly import (CLUSTER_RADIUS, MAX_ITERS, TRIM_TOL, _SPLIT_NOISE,
+                           _aberth_points, _expand_rows, _finalize_points,
+                           _simple_multisets, roots_batch)
 from rootcert.symbols import _core_cofactor
+
+from conftest import build_battery
 
 PRESET_NAMES = ("upper-half-plane", "lower-half-plane", "unit-disk",
                 "exterior-unit-disk")
@@ -85,3 +88,76 @@ def test_simple_rows_match_the_resolver(degrees, planted, seed):
                 assert abs(a - b) <= 1e-12 * abs(b)
         else:
             assert m in rm.multiplicities
+
+
+def _root_rows(seed, shape, log_scale):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_cauchy(shape) + 1j * rng.standard_cauchy(shape)) \
+        * 10.0 ** log_scale
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 12), st.integers(0, 8)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.integers(-4, 4),
+       lead=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3))
+def test_from_roots_row_alone_equals_its_batch_row(shape, seed, log_scale, lead):
+    root_rows = _root_rows(seed, shape, log_scale)
+    batch = _expand_rows(root_rows, lead)
+    for i, row in enumerate(root_rows):
+        assert from_roots(row, lead).coeffs.tobytes() == batch[i].tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(degree=st.integers(0, 8),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.integers(-4, 4))
+def test_from_roots_matches_a_convolution_product(degree, seed, log_scale):
+    # the factors are multiplied in by a recurrence, not np.convolve; the two
+    # differ only by rounding, measured against the coefficients of
+    # prod(z + |r|), which bound every partial product
+    rts = _root_rows(seed, degree, log_scale)
+    ref = np.ones(1, dtype=np.complex128)
+    for r in rts:
+        ref = np.convolve(ref, np.array([-r, 1.0]))
+    scale = np.abs(from_roots(-np.abs(rts)).coeffs)
+    assert np.all(np.abs(from_roots(rts).coeffs - ref) <= 1e-14 * scale)
+
+
+def _apply_loop(op, p):
+    """The operator applied one image at a time, skipping zero coefficients."""
+    d = p.degree()
+    if d is None:
+        return np.zeros(1, dtype=np.complex128)
+    width = max(op.images[k].coeffs.size for k in range(d + 1))
+    acc = np.zeros(width, dtype=np.complex128)
+    for k in range(d + 1):
+        if p.coeffs[k] != 0:
+            acc[: op.images[k].coeffs.size] += p.coeffs[k] * op.images[k].coeffs
+    return acc
+
+
+BATTERY = build_battery()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(BATTERY)),
+       rows=st.lists(st.tuples(st.integers(-1, 8), st.booleans()),
+                     min_size=1, max_size=10),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_apply_matches_apply_row_by_row(name, rows, seed):
+    # degree -1 gives a zero row; a flagged row has its leading coefficient
+    # below TRIM_TOL, so it trims to a lower degree
+    op = BATTERY[name]
+    rng = np.random.default_rng(seed)
+    block = np.zeros((len(rows), op.horizon + 1), dtype=np.complex128)
+    for i, (d, small_lead) in enumerate(rows):
+        block[i, : d + 1] = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        if small_lead and d >= 0:
+            block[i, d] *= 0.1 * TRIM_TOL / np.abs(block[i, d])
+    images = op.apply_rows(block)
+    for row, image in zip(block, images):
+        ref = op.apply(Poly(row)).coeffs
+        assert ref.tobytes() == _apply_loop(op, Poly(row)).tobytes()
+        assert image[: ref.size].tobytes() == ref.tobytes()
+        assert not image[ref.size:].any()
