@@ -42,7 +42,7 @@ class ZeroInput(RootCertError, ValueError):
 
 
 class AllImagesZero(RootCertError):
-    """Every sampled polynomial was annihilated by the operator."""
+    """Every basis image T[1], ..., T[z^n] vanishes, so no image has a gcd."""
 
 
 class ParseError(RootCertError, ValueError):

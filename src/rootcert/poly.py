@@ -7,14 +7,14 @@ representation is dense numpy arrays and direct convolutions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import NonConvergence, ZeroPolynomial
 
 TRIM_TOL = 1e-12        # relative floor below which trailing coefficients are noise
-CLUSTER_RADIUS = 1e-6   # default merge radius for multiplicity detection
+CLUSTER_RADIUS = 1e-6   # merge radius for multiplicity detection
 ROOT_TOL = 1e-12        # correction threshold of the simultaneous iteration
 MAX_ITERS = 200
 
@@ -44,26 +44,21 @@ def _as_coeff_array(values) -> np.ndarray:
     return arr
 
 
-def _trim(arr: np.ndarray, trim_tol: float = TRIM_TOL) -> np.ndarray | None:
-    """Coefficients with noise-level trailing entries removed; None if zero."""
-    if trim_tol == 0.0 and arr[-1] != 0:
-        return arr          # at trim_tol 0 a nonzero last entry leaves nothing to drop
-    mags = np.abs(arr)
-    top = float(mags.max())
-    if top == 0.0:
-        return None
-    keep = np.nonzero(mags > trim_tol * top)[0]
-    if keep.size == 0:
-        return None
-    return np.ascontiguousarray(arr[: keep[-1] + 1])
+def _trimmed_degrees(rows: np.ndarray, trim_tol: float = TRIM_TOL) -> np.ndarray | int:
+    """Trimmed degree of each coefficient row; -1 for a zero row.
 
-
-def _trimmed_degrees(rows: np.ndarray) -> np.ndarray:
-    """Poly.degree of every row of a coefficient block, -1 for zero rows."""
+    The package's one trim rule: a row ends at its last entry above
+    trim_tol times its largest entry, so at trim_tol 0 at its last nonzero
+    entry.  A block of rows gives an integer array; one row (1-D) gives an
+    int, found through nonzero, which is cheaper than the block reduction.
+    """
     mags = np.abs(rows)
-    keep = mags > TRIM_TOL * mags.max(axis=1, keepdims=True)
-    last = rows.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
-    return np.where(keep.any(axis=1), last, -1)
+    # transposed, the row maxima broadcast against one row and a block alike
+    keep = (mags.T > trim_tol * mags.max(axis=-1)).T
+    if keep.ndim == 1:
+        kept = keep.nonzero()[0]
+        return int(kept[-1]) if kept.size else -1
+    return (keep * np.arange(1, keep.shape[1] + 1)).max(axis=1) - 1
 
 
 def _polyval(coeffs: np.ndarray, z):
@@ -103,15 +98,15 @@ class Poly:
 
     def degree(self) -> int | None:
         """Largest index above the relative noise floor; None for the zero polynomial."""
-        t = _trim(self.coeffs)
-        return None if t is None else len(t) - 1
+        d = _trimmed_degrees(self.coeffs)
+        return None if d < 0 else d
 
     def is_zero(self) -> bool:
         return self.degree() is None
 
     def trimmed(self) -> "Poly":
-        t = _trim(self.coeffs)
-        return Poly.zero() if t is None else Poly(t)
+        d = _trimmed_degrees(self.coeffs)
+        return Poly.zero() if d < 0 else Poly(self.coeffs[: d + 1])
 
     def padded(self, length: int) -> np.ndarray:
         out = np.zeros(length, dtype=np.complex128)
@@ -137,10 +132,10 @@ class Poly:
         return Poly(np.concatenate([np.zeros(k, dtype=np.complex128), self.coeffs]))
 
     def monic(self) -> "Poly":
-        t = _trim(self.coeffs)
-        if t is None:
+        d = _trimmed_degrees(self.coeffs)
+        if d < 0:
             raise ZeroPolynomial("the zero polynomial has no monic normalization")
-        return Poly(t / t[-1])
+        return Poly(self.coeffs[: d + 1] / self.coeffs[d])
 
     def __neg__(self) -> "Poly":
         return Poly(-self.coeffs)
@@ -198,17 +193,15 @@ class BiPoly:
         return float(np.abs(self.coeffs).max())
 
     def is_zero(self) -> bool:
-        return self.max_abs() == 0.0 or not (np.abs(self.coeffs) > TRIM_TOL * self.max_abs()).any()
+        return self.z_degree() is None
 
     def z_degree(self) -> int | None:
-        mask = np.abs(self.coeffs) > TRIM_TOL * max(self.max_abs(), 1e-300)
-        rows = np.nonzero(mask.any(axis=1))[0]
-        return None if rows.size == 0 else int(rows[-1])
+        d = _trimmed_degrees(np.abs(self.coeffs).max(axis=1))
+        return None if d < 0 else d
 
     def w_degree(self) -> int | None:
-        mask = np.abs(self.coeffs) > TRIM_TOL * max(self.max_abs(), 1e-300)
-        cols = np.nonzero(mask.any(axis=0))[0]
-        return None if cols.size == 0 else int(cols[-1])
+        d = _trimmed_degrees(np.abs(self.coeffs).max(axis=0))
+        return None if d < 0 else d
 
     def z_slice(self, j: int) -> Poly:
         """The z-polynomial multiplying w**j."""
@@ -294,7 +287,7 @@ def _horner_batch(rows: np.ndarray, z: np.ndarray):
     return p, dp, bound
 
 
-def _aberth_points(rows: np.ndarray, max_iters: int) -> np.ndarray:
+def _aberth_points(rows: np.ndarray) -> np.ndarray:
     """Aberth–Ehrlich sweep for a batch of same-degree polynomials.
 
     ``rows[:, i]`` holds z**i coefficients; the leading column must be nonzero
@@ -339,7 +332,7 @@ def _aberth_points(rows: np.ndarray, max_iters: int) -> np.ndarray:
     done = np.zeros(m, dtype=bool)
     floor_factor = 4.0 * d * _EPS
     with np.errstate(all="ignore"):
-        for _ in range(max_iters):
+        for _ in range(MAX_ITERS):
             active = np.nonzero(~done)[0]
             if active.size == 0:
                 break
@@ -363,7 +356,7 @@ def _aberth_points(rows: np.ndarray, max_iters: int) -> np.ndarray:
             settled = at_floor | (np.abs(w) <= ROOT_TOL * np.maximum(1.0, np.abs(ya)))
             done[active] = settled.all(axis=1)
     if not done.all():
-        raise NonConvergence(f"root iteration did not settle within {max_iters} sweeps")
+        raise NonConvergence(f"root iteration did not settle within {MAX_ITERS} sweeps")
     return y * scale[:, None]
 
 
@@ -410,10 +403,9 @@ class _RootResolver:
     only when the derivative ladder confirms it on both sides.
     """
 
-    def __init__(self, coeffs: np.ndarray, cluster_radius: float):
+    def __init__(self, coeffs: np.ndarray):
         self.coeffs = coeffs
         self.d = len(coeffs) - 1
-        self.cluster_radius = cluster_radius
         self._derivs = [np.asarray(coeffs, dtype=np.complex128)]
 
     def deriv(self, j: int) -> np.ndarray:
@@ -435,7 +427,7 @@ class _RootResolver:
         return val, scale
 
     def _link_radius(self, m: int):
-        floor = self.cluster_radius
+        floor = CLUSTER_RADIUS
         spread = _SPLIT_NOISE ** (1.0 / max(m, 1))
 
         def radius(zi: complex, zj: complex) -> float:
@@ -464,17 +456,17 @@ class _RootResolver:
         # trim exact zeros only: a genuine leading coefficient far below the
         # derivative's largest one (wide root-scale spread) must survive, or
         # the candidates would come from a truncated polynomial
-        q = _trim(self.deriv(m - 1), 0.0)
-        if q is None or len(q) == 1:
+        dq = _trimmed_degrees(self.deriv(m - 1), 0.0)
+        if dq < 1:
             return []
-        dq = len(q) - 1
+        q = self.deriv(m - 1)[: dq + 1]
         if dq == 1:
             return [complex(-q[0] / q[1])]
         if dq == 2:
             a, b, c0 = q[2], q[1], q[0]
             sq = np.sqrt(complex(b * b - 4.0 * a * c0))
             return [complex((-b - sq) / (2 * a)), complex((-b + sq) / (2 * a))]
-        pts = _aberth_points(q[None, :], MAX_ITERS)[0]
+        pts = _aberth_points(q[None, :])[0]
         return [self._polish(complex(p), on=m - 1, steps=1) for p in pts]
 
     def _validated(self, c: complex, m: int) -> bool:
@@ -550,14 +542,14 @@ class _RootResolver:
                     for sub in _components(rest, self._link_radius(max(len(rest), 2))):
                         out.extend(self._resolve_component(sub))
                 return out
-        if diameter <= self.cluster_radius:
+        if diameter <= CLUSTER_RADIUS:
             return [(centroid, k)]
         return [(self._polish(p), 1) for p in comp]
 
     def _merge(self, entries: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
         pts = [e[0] for e in entries]
         merged = []
-        for idxs in _component_indices(pts, lambda a, b: self.cluster_radius):
+        for idxs in _component_indices(pts, lambda a, b: CLUSTER_RADIUS):
             members = [entries[i] for i in idxs]
             total = sum(m for _, m in members)
             loc = sum(r * m for r, m in members) / total
@@ -573,9 +565,8 @@ class _RootResolver:
         return entries
 
 
-def _finalize_points(coeffs: np.ndarray, pts: np.ndarray,
-                     cluster_radius: float) -> RootMultiset:
-    resolver = _RootResolver(coeffs, cluster_radius)
+def _finalize_points(coeffs: np.ndarray, pts: np.ndarray) -> RootMultiset:
+    resolver = _RootResolver(coeffs)
     entries = resolver.resolve([complex(p) for p in pts])
     top = float(np.abs(coeffs).max())
     d = len(coeffs) - 1
@@ -586,8 +577,7 @@ def _finalize_points(coeffs: np.ndarray, pts: np.ndarray,
     return RootMultiset(tuple(entries), residual)
 
 
-def _simple_multisets(rows: np.ndarray, pts: np.ndarray,
-                      cluster_radius: float) -> list[RootMultiset | None]:
+def _simple_multisets(rows: np.ndarray, pts: np.ndarray) -> list[RootMultiset | None]:
     """Root multisets of the rows whose points are all simple; None elsewhere.
 
     A row is simple when no two of its points lie within the resolver's link
@@ -596,7 +586,7 @@ def _simple_multisets(rows: np.ndarray, pts: np.ndarray,
     guarded Newton steps per point keeping the best (_RootResolver._polish),
     normalization and the (real, imag) sort as in _merge and resolve, and the
     scaled residual.  Rows with a non-finite point, a linked pair, or two
-    polished points within cluster_radius (which _merge would join) come back
+    polished points within CLUSTER_RADIUS (which _merge would join) come back
     None.  The values and derivatives come from _horner_batch, whose complex
     products numpy may fuse, so locations can differ from the scalar path in
     the last bits.
@@ -606,7 +596,7 @@ def _simple_multisets(rows: np.ndarray, pts: np.ndarray,
     off = ~np.eye(d, dtype=bool)
     with np.errstate(all="ignore"):
         mag = np.maximum(1.0, np.abs(pts))
-        reach = np.maximum(cluster_radius, _SPLIT_NOISE ** (1.0 / d)
+        reach = np.maximum(CLUSTER_RADIUS, _SPLIT_NOISE ** (1.0 / d)
                            * np.maximum(mag[:, :, None], mag[:, None, :]))
         linked = (np.abs(pts[:, :, None] - pts[:, None, :]) <= reach) & off
         idx = np.nonzero(np.isfinite(pts).all(axis=1) & ~linked.any(axis=(1, 2)))[0]
@@ -626,7 +616,7 @@ def _simple_multisets(rows: np.ndarray, pts: np.ndarray,
         step2 = step1 & (d1 != 0) & (np.abs(v2) < a1)
         best = np.where(step2, z2, np.where(step1, z1, z0)) + 0.0   # -0.0 -> 0.0
         val = np.where(step2, v2, np.where(step1, v1, v0))
-        joined = ((np.abs(best[:, :, None] - best[:, None, :]) <= cluster_radius)
+        joined = ((np.abs(best[:, :, None] - best[:, None, :]) <= CLUSTER_RADIUS)
                   & off).any(axis=(1, 2))
         scale = np.abs(c).max(axis=1, keepdims=True) \
             * np.maximum(1.0, np.abs(best)) ** d
@@ -640,66 +630,70 @@ def _simple_multisets(rows: np.ndarray, pts: np.ndarray,
     return out
 
 
-def _roots_trimmed(trimmed: list[np.ndarray | None], cluster_radius: float,
-                   max_iters: int) -> list[RootMultiset | None]:
-    """Root multisets of trimmed coefficient arrays; None stays None.
+def _roots_rows(rows: np.ndarray, degrees: np.ndarray) -> list[RootMultiset | None]:
+    """Root multisets of the rows of a coefficient block, row i taken to
+    degree degrees[i]; None for a row of degree -1 (zero).
 
     The one root path behind roots and roots_batch.  roots calls this, not
     roots_batch, so that perfbench's roots_batch counters see batch calls only.
-    Rows whose points are all simple are finished together
-    (_simple_multisets); the rest go through the resolver one by one.
+    Rows of equal degree d are iterated together as rows[idx, :d+1]; rows
+    whose points are all simple are finished together (_simple_multisets),
+    the rest go through the resolver one by one.
     """
-    results: list[RootMultiset | None] = [None] * len(trimmed)
-    groups: dict[int, list[int]] = {}
-    for i, c in enumerate(trimmed):
-        if c is None:
+    results: list[RootMultiset | None] = [None] * len(degrees)
+    for d in sorted(set(degrees.tolist()) - {-1}):
+        idx = np.flatnonzero(degrees == d)
+        if d == 0:
+            for i in idx.tolist():
+                results[i] = RootMultiset((), 0.0)
             continue
-        if len(c) == 1:
-            results[i] = RootMultiset((), 0.0)
-            continue
-        groups.setdefault(len(c), []).append(i)
-    for width in sorted(groups):
-        idxs = groups[width]
-        rows = np.stack([trimmed[i] for i in idxs])
-        pts = _aberth_points(rows, max_iters)
-        simple = _simple_multisets(rows, pts, cluster_radius)
-        for row, i in enumerate(idxs):
+        block = rows[idx, : d + 1]
+        pts = _aberth_points(block)
+        simple = _simple_multisets(block, pts)
+        for row, i in enumerate(idx.tolist()):
             results[i] = simple[row] if simple[row] is not None \
-                else _finalize_points(trimmed[i], pts[row], cluster_radius)
+                else _finalize_points(block[row], pts[row])
     return results
 
 
-def roots(p: Poly, cluster_radius: float = CLUSTER_RADIUS,
-          max_iters: int = MAX_ITERS) -> RootMultiset:
-    """All roots of p with clustered multiplicities.
+def roots(p: Poly) -> RootMultiset:
+    """All roots of p with clustered multiplicities: the one-row case of
+    _roots_rows.
 
     Raises ZeroPolynomial for the zero polynomial; a nonzero constant yields
-    an empty multiset.  Entries within cluster_radius of each other are merged
-    with summed multiplicity.
+    an empty multiset.  Entries within CLUSTER_RADIUS of each other are
+    merged with summed multiplicity.
     """
-    c = _trim(p.coeffs)
-    if c is None:
+    d = p.degree()
+    if d is None:
         raise ZeroPolynomial("roots of the zero polynomial are undefined")
-    return _roots_trimmed([c], cluster_radius, max_iters)[0]
+    return _roots_rows(p.coeffs[None, :], np.array([d]))[0]
 
 
-def roots_batch(polys: Sequence, trim_tol: float = TRIM_TOL) -> list[RootMultiset | None]:
-    """Root multisets for many polynomials at once.
+def roots_batch(polys, trim_tol: float = TRIM_TOL) -> list[RootMultiset | None]:
+    """Root multisets for the rows of a coefficient block, one per row.
 
-    The simultaneous iteration is batched across entries of equal trimmed
-    degree, which is where the speed comes from when scanning hundreds of
-    slice polynomials.  Rows whose points are all simple roots are then
-    finished together as arrays; only rows with a cluster of points go
-    through the multiplicity resolver one by one, so a simple root may
-    differ from the resolver's in the last bits.  Zero polynomials map to
-    None; constants map to an empty multiset.  trim_tol is the relative
-    floor below which trailing coefficients are dropped (0 drops exact zeros
-    only, and a row whose last entry is nonzero is taken as it is).
+    polys is a 2-D array (row i holds the z**k coefficients of polynomial
+    i), which is used as it is, or a sequence of Poly objects and
+    coefficient sequences, which is zero-padded into one block first.  Each
+    row is trimmed by _trimmed_degrees at trim_tol (0 drops exact zeros
+    only).  The simultaneous iteration is batched across rows of equal
+    trimmed degree, which is where the speed comes from when scanning
+    hundreds of slice polynomials.  Rows whose points are all simple roots
+    are then finished together as arrays; only rows with a cluster of
+    points go through the multiplicity resolver one by one, so a simple
+    root may differ from the resolver's in the last bits.  Zero rows map to
+    None; constants map to an empty multiset.
     """
-    return _roots_trimmed(
-        [_trim(p.coeffs if isinstance(p, Poly) else _as_coeff_array(p), trim_tol)
-         for p in polys],
-        CLUSTER_RADIUS, MAX_ITERS)
+    if isinstance(polys, np.ndarray) and polys.ndim == 2:
+        block = polys.astype(np.complex128, copy=False)
+    else:
+        coeffs = [p.coeffs if isinstance(p, Poly) else _as_coeff_array(p) for p in polys]
+        block = np.zeros((len(coeffs), max((c.size for c in coeffs), default=1)),
+                         dtype=np.complex128)
+        for row, c in zip(block, coeffs):
+            row[: c.size] = c
+    return _roots_rows(block, _trimmed_degrees(block, trim_tol))
 
 
 def root_uncertainty(coeffs, root: complex, multiplicity: int = 1,

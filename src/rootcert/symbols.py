@@ -178,13 +178,16 @@ def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, boundary_counts: bool,
     # sum_j |C[i,j]| |w0|^j, not against the slice maximum: heavy-tailed w0
     # give slices whose genuine leading coefficient sits many orders below
     # the constant term, and trimming it would fabricate roots.
+    # Each slice is zeroed past its last kept entry, which is nonzero, so
+    # roots_batch at trim_tol 0 ends it there too.
     natural = np.abs(powers) @ np.abs(C).T
     kept = ~(np.abs(slices) <= TRIM_TOL * natural)
-    live = np.nonzero(kept.any(axis=1))[0].tolist()
-    ends = (kept.shape[1] - np.argmax(kept[:, ::-1], axis=1)).tolist()   # last kept + 1
-    trimmed = [slices[s, : ends[s]] for s in live]
-    zero_slices = w_samples - len(live)
-    multisets = roots_batch(trimmed, trim_tol=0.0)
+    live = np.flatnonzero(kept.any(axis=1))
+    ends = kept.shape[1] - np.argmax(kept[:, ::-1], axis=1)     # last kept + 1
+    slices[np.arange(kept.shape[1]) >= ends[:, None]] = 0
+    block = slices[live]
+    zero_slices = w_samples - live.size
+    multisets = roots_batch(block, trim_tol=0.0)
 
     # one region-tag call for every slice root; a root is a candidate when
     # its code is interior (1), or boundary (0) when the boundary counts
@@ -194,7 +197,7 @@ def nonvanishing_check(F: BiPoly, dom: MoebiusDomain, boundary_counts: bool,
     rejected = 0
     for i in np.nonzero(codes >= (0 if boundary_counts else 1))[0].tolist():
         row, root, mult = found[i]
-        slice_coeffs = trimmed[row]
+        slice_coeffs = block[row, : ends[live[row]]]
         w0 = complex(ws[live[row]])
         # the tag only counts once the root's location uncertainty
         # (coefficient noise pushed through the root) keeps it on the

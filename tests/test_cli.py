@@ -373,6 +373,24 @@ class TestSubcommands:
                      "1", "0", "--samples", "128"])
         assert code == 0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: at n = 8 the core division on this domain stops at "
+        "m = 4, so the slices keep B1's 4-fold exterior root, and a slice "
+        "root passes the witness gate with value 6.5e-14"))
+    @pytest.mark.parametrize("cls", ["closed", "open"])
+    def test_identity_is_not_refuted_on_a_random_domain(self, tmp_path, cls):
+        # the identity preserves every class, so no verdict may be falsified
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps({"form": "diff", "N": 8,
+                                    "coeffs": {"0": [[1, 0]]}}))
+        code = main(["certify", str(path), "--class", cls, "--samples", "128",
+                     "--seed", "0", "--json", "--domain", "moebius",
+                     "-0.5442589828573099", "-0.31630015636915454",
+                     "0.41163053637413283", "1.0425133694426776",
+                     "-0.12853466294403426", "1.3664634705496859",
+                     "-0.66519467348661354", "0.35151007009301971"])
+        assert code == 0
+
 
 class TestTextOutput:
     def test_certify_text_mentions_witness(self, mulz_file, capsys):

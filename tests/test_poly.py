@@ -60,11 +60,11 @@ class TestRoots:
         assert rm.residual <= 1e-10
 
     def test_cluster_radius_merges(self):
-        p = from_roots([0.5, 0.5000001])
-        rm = roots(p, cluster_radius=1e-3)
+        p = from_roots([0.5, 0.5 + 1e-9])
+        rm = roots(p)
         assert len(rm.entries) == 1
         (loc, mult), = rm.entries
-        assert mult == 2 and abs(loc - 0.5) < 1e-3
+        assert mult == 2 and abs(loc - 0.5) < 1e-6
 
     def test_root_at_the_origin_is_positive_zero(self):
         (loc, mult), = roots(Poly([0, 1])).entries
@@ -290,10 +290,11 @@ class TestArithmetic:
             p.coeffs[0] = 5
 
 
-def test_nonconvergence_with_tiny_budget():
-    from rootcert import NonConvergence
+def test_nonconvergence_with_tiny_budget(monkeypatch):
+    from rootcert import NonConvergence, poly
+    monkeypatch.setattr(poly, "MAX_ITERS", 1)
     with pytest.raises(NonConvergence):
-        roots(from_roots([1.0, 2.0, 3.0]), max_iters=1)
+        roots(from_roots([1.0, 2.0, 3.0]))
 
 
 def test_root_uncertainty_scales():

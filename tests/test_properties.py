@@ -3,10 +3,10 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rootcert import BiPoly, Poly, base_symbol, from_roots, preset
-from rootcert.poly import (CLUSTER_RADIUS, MAX_ITERS, TRIM_TOL, _SPLIT_NOISE,
-                           _aberth_points, _expand_rows, _finalize_points,
-                           _simple_multisets, roots_batch)
+from rootcert import BiPoly, Poly, base_symbol, from_roots, preset, roots
+from rootcert.poly import (CLUSTER_RADIUS, TRIM_TOL, _SPLIT_NOISE, _aberth_points,
+                           _expand_rows, _finalize_points, _simple_multisets,
+                           _trimmed_degrees, roots_batch)
 from rootcert.symbols import _core_cofactor
 
 from conftest import build_battery
@@ -78,11 +78,11 @@ def test_simple_rows_match_the_resolver(degrees, planted, seed):
     rows = [np.poly(r)[::-1] * c for r, c in zip(batch, lead)]
     got = roots_batch(rows, trim_tol=0.0)      # coefficients span beyond TRIM_TOL
     for row, rm, m in zip(rows, got, kinds):
-        pts = _aberth_points(row[None, :], MAX_ITERS)
-        ref = _finalize_points(row, pts[0], CLUSTER_RADIUS)
+        pts = _aberth_points(row[None, :])
+        ref = _finalize_points(row, pts[0])
         assert rm.multiplicities == ref.multiplicities
         if m == 1:
-            assert _simple_multisets(row[None, :], pts, CLUSTER_RADIUS)[0] is not None
+            assert _simple_multisets(row[None, :], pts)[0] is not None
             assert rm.multiplicities == (1,) * (len(row) - 1)
             for (a, _), (b, _) in zip(rm.entries, ref.entries):
                 assert abs(a - b) <= 1e-12 * abs(b)
@@ -161,3 +161,92 @@ def test_batched_apply_matches_apply_row_by_row(name, rows, seed):
         assert ref.tobytes() == _apply_loop(op, Poly(row)).tobytes()
         assert image[: ref.size].tobytes() == ref.tobytes()
         assert not image[ref.size:].any()
+
+
+def _trim_reference(row, trim_tol):
+    """Last index whose magnitude exceeds trim_tol times the row's largest, by loop."""
+    top = max(abs(complex(c)) for c in row)
+    last = -1
+    for i, c in enumerate(row):
+        if abs(complex(c)) > trim_tol * top:
+            last = i
+    return last
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 10)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       zero_share=st.floats(0.0, 1.0),
+       trim_tol=st.sampled_from([0.0, TRIM_TOL]))
+def test_trimmed_degrees_follow_the_trim_rule(shape, seed, zero_share, trim_tol):
+    # zeroed entries make zero rows and trailing zeros; entries 1e-13 below
+    # the row scale sit under TRIM_TOL but are nonzero
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows[rng.random(shape) < zero_share] = 0
+    tiny = rng.random(shape) < 0.2
+    rows[tiny] *= 1e-13
+    degs = _trimmed_degrees(rows, trim_tol)
+    for row, d in zip(rows, degs.tolist()):
+        assert d == _trim_reference(row, trim_tol)
+        assert _trimmed_degrees(row, trim_tol) == d
+        if trim_tol == 0.0:
+            assert d == max(np.flatnonzero(row).tolist(), default=-1)
+        else:
+            assert Poly(row).degree() == (None if d < 0 else d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+       seed=st.integers(0, 2 ** 32 - 1),
+       zero_share=st.floats(0.0, 1.0),
+       log_scale=st.integers(-8, 8))
+def test_bipoly_degrees_follow_the_trim_rule(shape, seed, zero_share, log_scale):
+    rng = np.random.default_rng(seed)
+    C = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * 10.0 ** log_scale
+    C[rng.random(shape) < zero_share] = 0
+    C[rng.random(shape) < 0.2] *= 1e-13
+    F = BiPoly(C)
+    top = np.abs(C).max()
+    live = np.abs(C) > TRIM_TOL * top
+    z_rows = [i for i in range(shape[0]) if live[i].any()]
+    w_cols = [j for j in range(shape[1]) if live[:, j].any()]
+    assert F.z_degree() == (z_rows[-1] if z_rows else None)
+    assert F.w_degree() == (w_cols[-1] if w_cols else None)
+    assert F.is_zero() == (top == 0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kinds=st.lists(st.tuples(st.sampled_from(["zero", "constant", "random",
+                                                  "small-tail", "double"]),
+                                 st.integers(1, 8)),
+                      min_size=1, max_size=10),
+       padding=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_batch_rows_equal_roots_of_each_row(kinds, padding, seed):
+    # a row rooted inside a block, next to rows of other degrees and kinds,
+    # equals roots() of that row alone, multiplicities and residual included
+    rng = np.random.default_rng(seed)
+    width = max(d for _, d in kinds) + 2 + padding
+    block = np.zeros((len(kinds), width), dtype=np.complex128)
+    for row, (kind, d) in zip(block, kinds):
+        if kind == "constant":
+            row[0] = rng.standard_normal() + 1j * rng.standard_normal()
+        elif kind == "random":
+            row[: d + 1] = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        elif kind == "small-tail":
+            row[: d + 1] = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+            row[d + 1] = 0.1 * TRIM_TOL * np.abs(row).max()
+        elif kind == "double":
+            rts = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            rts[-1] = rts[0]
+            row[: d + 1] = from_roots(rts).coeffs
+    got = roots_batch(block)
+    # as a ragged sequence, zero-padded by roots_batch itself
+    assert roots_batch([row[: d + 2] for row, (_, d) in zip(block, kinds)]) == got
+    for row, rm in zip(block, got):
+        if not row.any():
+            assert rm is None
+        else:
+            assert rm == roots(Poly(row))

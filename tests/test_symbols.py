@@ -143,6 +143,29 @@ class TestNonvanishingCheck:
         assert res.zero_slices == 1 and not res.found
         assert rng.calls == 2           # the w-sample only: no probe draw
 
+    def test_slice_ends_at_its_natural_scale(self, monkeypatch):
+        # the z^2 coefficient 1 - w/w0 cancels at w = w0 = 7 + i to 1.1e-16,
+        # far below its natural scale 2: the slice is rooted as 1 + z, not
+        # as a quadratic with a noise-level leading coefficient
+        w0 = 7 + 1j
+        F = BiPoly([[1, 0], [1, 0], [1, -1 / w0]])
+        draws = iter([np.full(1, w0.real), np.full(1, w0.imag)])
+
+        class Scripted:
+            def standard_cauchy(self, size):
+                return next(draws)
+
+        rooted = []
+        batch = symbols.roots_batch
+
+        def recording(*args, **kwargs):
+            rooted.extend(batch(*args, **kwargs))
+            return rooted
+
+        monkeypatch.setattr(symbols, "roots_batch", recording)
+        nonvanishing_check(F, H, False, 1, rng=Scripted())
+        assert [rm.total_multiplicity() for rm in rooted] == [1]
+
     def test_deterministic_given_seed(self):
         F = BiPoly([[-1j], [1]])
         a = nonvanishing_check(F, H, False, 64, rng=123)
