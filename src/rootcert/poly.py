@@ -203,12 +203,6 @@ class BiPoly:
         d = _trimmed_degrees(np.abs(self.coeffs).max(axis=0))
         return None if d < 0 else d
 
-    def z_slice(self, j: int) -> Poly:
-        """The z-polynomial multiplying w**j."""
-        if j >= self.coeffs.shape[1]:
-            return Poly.zero()
-        return Poly(self.coeffs[:, j])
-
     def restrict_w(self, w0: complex) -> Poly:
         """The univariate polynomial z -> F(z, w0)."""
         c = self.coeffs
@@ -387,11 +381,6 @@ def _component_indices(points: list[complex], radius_fn) -> list[list[int]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _components(points: list[complex], radius_fn) -> list[list[complex]]:
-    return [[points[i] for i in idxs]
-            for idxs in _component_indices(points, radius_fn)]
-
-
 class _RootResolver:
     """Turns converged iteration points into (location, multiplicity) entries.
 
@@ -400,7 +389,8 @@ class _RootResolver:
     m grows.  The resolver therefore links points at the noise-scaled radius,
     recovers candidate centers from the roots of p^(m-1) (which collapse the
     ring back to first-order accuracy), and accepts a multiplicity hypothesis
-    only when the derivative ladder confirms it on both sides.
+    only when the derivative ladder confirms it on both sides, once per
+    cluster: the points it leaves over come out as simple roots.
     """
 
     def __init__(self, coeffs: np.ndarray):
@@ -477,50 +467,37 @@ class _RootResolver:
         val, scale = self.value_and_scale(m, c)
         return abs(val) > _VALIDATE_HI * scale
 
-    def _deflated_refine(self, points: list[complex],
-                         anchors: list[tuple[complex, int]]) -> list[complex]:
-        """Re-solve leftover points against the implicitly deflated polynomial.
-
-        Points near a resolved m-fold root carry ring-level errors; dividing
-        that root out implicitly (a Maehly correction term, no coefficient
-        division) lets a few Aberth-style sweeps land them on the remaining
-        roots to full accuracy.  Mutual repulsion keeps distinct points on
-        distinct roots.
+    def _deflated_refine(self, z: complex,
+                         anchors: list[tuple[complex, int]]) -> complex:
+        """Newton steps from z on p / prod (z - a)**ma over the anchors, the
+        roots found so far (Maehly's implicit deflation: a correction term,
+        no coefficient division).  A point left over beside a resolved
+        m-fold root carries the ring's error; with the found roots divided
+        out, Newton lands it on a root not yet taken.
         """
-        pts = list(points)
         c0 = self.deriv(0)
         c1 = self.deriv(1)
         for _ in range(60):
-            moved = 0.0
-            for i, z in enumerate(pts):
-                pv = complex(_polyval(c0, z))
-                if pv == 0:
-                    continue
-                s = complex(_polyval(c1, z)) / pv
-                degenerate = False
-                for a, ma in anchors:
-                    dz = z - a
-                    if dz == 0:
-                        degenerate = True
-                        break
-                    s -= ma / dz
-                if degenerate:
-                    continue
-                for j, zj in enumerate(pts):
-                    if j != i and z != zj:
-                        s -= 1.0 / (z - zj)
-                if s == 0:
-                    continue
-                w = 1.0 / s
-                if not np.isfinite(w):
-                    continue
-                pts[i] = z - w
-                moved = max(moved, abs(w) / max(1.0, abs(pts[i])))
-            if moved <= 1e-13:
+            pv = complex(_polyval(c0, z))
+            dz = [z - a for a, _ in anchors]
+            if pv == 0 or 0 in dz:
                 break
-        return pts
+            s = complex(_polyval(c1, z)) / pv
+            for d, (_, ma) in zip(dz, anchors):
+                s -= ma / d
+            if s == 0:
+                break
+            w = 1.0 / s
+            if not np.isfinite(w):
+                break
+            z = z - w
+            if abs(w) / max(1.0, abs(z)) <= 1e-13:
+                break
+        return z
 
     def _resolve_component(self, comp: list[complex]) -> list[tuple[complex, int]]:
+        """One pass over a linked cluster: its first validated m-fold center,
+        then each leftover point, nearest first, as a simple root."""
         k = len(comp)
         if k == 1:
             return [(self._polish(comp[0]), 1)]
@@ -533,17 +510,10 @@ class _RootResolver:
             for c in cands:
                 if not self._validated(c, m):
                     continue
-                rest = sorted(comp, key=lambda p: abs(p - c))[m:]
-                out = [(c, m)]
-                if rest:
-                    # leftover points still carry ring-level errors from the
-                    # resolved root; re-solve them with that root divided out
-                    rest = self._deflated_refine(rest, [(c, m)])
-                    for sub in _components(rest, self._link_radius(max(len(rest), 2))):
-                        out.extend(self._resolve_component(sub))
-                return out
-        if diameter <= CLUSTER_RADIUS:
-            return [(centroid, k)]
+                found = [(c, m)]
+                for p in sorted(comp, key=lambda p: abs(p - c))[m:]:
+                    found.append((self._polish(self._deflated_refine(p, found)), 1))
+                return found
         return [(self._polish(p), 1) for p in comp]
 
     def _merge(self, entries: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
@@ -558,8 +528,8 @@ class _RootResolver:
 
     def resolve(self, points: list[complex]) -> list[tuple[complex, int]]:
         entries: list[tuple[complex, int]] = []
-        for comp in _components(points, self._link_radius(self.d)):
-            entries.extend(self._resolve_component(comp))
+        for idxs in _component_indices(points, self._link_radius(self.d)):
+            entries.extend(self._resolve_component([points[i] for i in idxs]))
         entries = self._merge(entries)
         entries.sort(key=lambda e: (e[0].real, e[0].imag))
         return entries
@@ -696,9 +666,9 @@ def roots_batch(polys, trim_tol: float = TRIM_TOL) -> list[RootMultiset | None]:
     return _roots_rows(block, _trimmed_degrees(block, trim_tol))
 
 
-def root_uncertainty(coeffs, root: complex, multiplicity: int = 1,
-                     noise: float = COEFF_NOISE) -> float:
-    """First-order location uncertainty of a computed root under coefficient noise.
+def root_uncertainty(coeffs, root: complex, multiplicity: int = 1) -> float:
+    """First-order location uncertainty of a computed root under relative
+    coefficient noise COEFF_NOISE.
 
     An m-fold location is tracked through the simple root it induces in the
     (m-1)-st derivative, which is first-order stable even though the raw
@@ -720,7 +690,7 @@ def root_uncertainty(coeffs, root: complex, multiplicity: int = 1,
     denom = abs(complex(_polyval(dc, root)))
     if denom == 0.0:
         return float("inf")
-    return noise * bound / denom
+    return COEFF_NOISE * bound / denom
 
 
 def _expand_rows(root_rows: np.ndarray, leading: complex = 1.0) -> np.ndarray:

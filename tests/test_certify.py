@@ -7,7 +7,7 @@ from rootcert.certify import (Budget, PolyWitness, Route, Verdict,
                               boundary_root_check, certify_closed,
                               certify_closed_bounded, certify_open, falsify,
                               gcd_image)
-from rootcert.errors import AllImagesZero
+from rootcert.errors import AllImagesZero, DegreeOutOfRange
 from rootcert.symbols import ZeroWitness, nonvanishing_check, operator_symbol
 
 H = preset("upper-half-plane")
@@ -441,6 +441,45 @@ class TestReportPlumbing:
     def test_falsify_needs_a_trial(self):
         with pytest.raises(ValueError):
             falsify(IDENTITY, H, trials=0, rng=0)
+
+    def test_falsify_degree_above_the_cap_rejected(self):
+        with pytest.raises(DegreeOutOfRange, match="reaches 9, above the operator cap 8"):
+            falsify(IDENTITY, H, degree_range=(0, 9), trials=10, rng=0)
+
+
+class TestVerifiedPolyWitness:
+    # multiplication by (z + 1 + i)(z - 1 + i) adds the two lower-half-plane
+    # roots -1 - i and 1 - i to every image; both leave the upper half-plane
+    # robustly, and the image roots come sorted by real part
+    MUL_LOWER_PAIR = LinearOperator.multiply_by(Poly([-2, 2j, 1]), N)
+    P = Poly([-1j, 1])      # z - i, in the open upper half-plane
+
+    def _witness(self, op, p, image=None, preferred=None):
+        from rootcert.certify import _verified_poly_witness
+        image = op.apply(p) if image is None else image
+        return _verified_poly_witness(op, H, p, image, RegionClass.INTERIOR,
+                                      RegionClass.INTERIOR, preferred=preferred)
+
+    def test_input_root_outside_the_source_rejected(self):
+        assert self._witness(MUL_Z, Poly([1j, 1])) is None
+
+    def test_image_that_is_not_the_operator_image_rejected(self):
+        image = MUL_Z.apply(self.P) + Poly([0, 0, 1e-3])
+        assert self._witness(MUL_Z, self.P, image=image) is None
+
+    @pytest.mark.parametrize("preferred, bad_root", [
+        (1 - 1j, 1 - 1j),
+        (100j, -1 - 1j),        # near no candidate: the first one
+        (None, -1 - 1j),
+    ])
+    def test_bad_root_prefers_the_nearby_candidate(self, preferred, bad_root):
+        w = self._witness(self.MUL_LOWER_PAIR, self.P, preferred=preferred)
+        assert w is not None and abs(w.bad_root - bad_root) < 1e-12
+        assert w.bad_root_tag is RegionTag.EXTERIOR
+
+    @pytest.mark.parametrize("preferred", [None, 1j])
+    def test_only_in_class_image_roots_rejected(self, preferred):
+        assert self._witness(IDENTITY, self.P, preferred=preferred) is None
 
 
 class TestClassConsistency:

@@ -248,6 +248,47 @@ class TestExitCodes:
         assert err.startswith("error: ") and f"n = {n}" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("text, message", [
+        # an integer this long overflows complex()
+        ('{"form": "monomial", "N": 1, "images": {"0": [[1%s, 0]]}}' % ("0" * 400),
+         "is out of the float range"),
+        ('{"form": "monomial", "N": 1, "images": {"0": []}}',
+         "entry 0: expected a nonempty list"),
+        ('[1, 2]', "operator file must hold a JSON object"),
+        ('{"form": "monomial", "N": -1, "images": {}}',
+         "N must be a non-negative integer, got -1"),
+        ('{"form": "monomial", "N": 1, "images": {"x": [[1, 0]]}}',
+         "index 'x' is not an integer"),
+        ('{"form": "monomial", "N": 1, "images": {"-1": [[1, 0]]}}',
+         "index -1 is negative"),
+    ])
+    def test_malformed_operator_file_is_a_usage_error(self, text, message,
+                                                      tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code = main(["certify", str(path), "--domain", "upper-half-plane",
+                     "--class", "closed"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("degrees, message", [
+        ("3", "expected LO..HI"),
+        ("a..b", "expected integer LO..HI"),
+        ("3..1", "need 0 <= LO <= HI"),
+        ("0..9", "error: degree range reaches 9, above the operator cap 8"),
+    ])
+    def test_bad_degree_range_is_a_usage_error(self, mulz_file, degrees,
+                                               message, capsys):
+        code = main(["falsify", mulz_file, "--domain", "upper-half-plane",
+                     "--degrees", degrees])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: " in err and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("point", [["nan", "0"], ["inf", "0"], ["0", "inf"]])
     def test_non_finite_point_rejected(self, point, capsys):
         code = main(["classify-point", "--domain", "upper-half-plane",
@@ -393,6 +434,30 @@ class TestSubcommands:
 
 
 class TestTextOutput:
+    @pytest.mark.parametrize("op, argv, code, expect", [
+        pytest.param("diag-k+1", ["certify", "--domain", "unit-disk",
+                                  "--class", "closed", "--samples", "128"],
+                     1, "witness: symbol zero at z = ", id="certify-symbol-zero"),
+        pytest.param("mul-z", ["falsify", "--domain", "upper-half-plane",
+                               "--trials", "200", "--degrees", "0..4"],
+                     1, "witness found:\n  p = [1+0j]\n  bad root = 0+0j (boundary)\n",
+                     id="falsify-witness"),
+        pytest.param("mul-z-1", ["gcd-image", "--domain", "upper-half-plane",
+                                 "--n", "3"],
+                     0, "gcd of degree-3 images: [-1+0j, 1+0j]\n", id="gcd-image"),
+        pytest.param(None, ["classify-point", "--domain", "unit-disk",
+                            "--point", "0.2", "0.1"],
+                     0, "0.2+0.1j: interior (side = 0.95)\n", id="classify-point"),
+    ])
+    def test_text_report(self, battery, tmp_path, capsys, op, argv, code, expect):
+        if op is not None:
+            path = tmp_path / f"{op}.json"
+            path.write_text(json.dumps(serialize_operator(battery[op])))
+            argv = [argv[0], str(path), *argv[1:]]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert expect in out and err == ""
+
     def test_certify_text_mentions_witness(self, mulz_file, capsys):
         code = main(["certify", mulz_file, "--class", "open",
                      "--domain", "upper-half-plane"])

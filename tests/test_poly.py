@@ -247,11 +247,6 @@ class TestBiPoly:
             via_slice = F.restrict_w(w0)(z0)
             assert abs(direct - via_slice) <= 1e-12 * max(1.0, abs(direct))
 
-    def test_z_slice(self):
-        F = BiPoly([[1, 2], [3, 4]])
-        np.testing.assert_allclose(F.z_slice(1).coeffs, [2, 4])
-        assert F.z_slice(5).is_zero()
-
 
 class TestArithmetic:
     def test_scalar_mix(self):

@@ -1,12 +1,14 @@
 """Property-based checks (Hypothesis) of the numerical kernels."""
 
+import math
+
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rootcert import BiPoly, Poly, base_symbol, from_roots, preset, roots
-from rootcert.poly import (CLUSTER_RADIUS, TRIM_TOL, _SPLIT_NOISE, _aberth_points,
-                           _expand_rows, _finalize_points, _simple_multisets,
-                           _trimmed_degrees, roots_batch)
+from rootcert.poly import (CLUSTER_RADIUS, TRIM_TOL, _EPS, _SPLIT_NOISE,
+                           _RootResolver, _aberth_points, _expand_rows, _finalize_points,
+                           _simple_multisets, _trimmed_degrees, roots_batch)
 from rootcert.symbols import _core_cofactor
 
 from conftest import build_battery
@@ -88,6 +90,73 @@ def test_simple_rows_match_the_resolver(degrees, planted, seed):
                 assert abs(a - b) <= 1e-12 * abs(b)
         else:
             assert m in rm.multiplicities
+
+
+def _planted_cluster(seed, m, simple, depth=None, angle=0.0):
+    """Coefficients with an m-fold root c and `simple` simple roots, moduli
+    log-uniform on [0.1, 10], each pair farther apart than four link radii.
+    With depth set, one more simple root sits at c + near, |near| being
+    10**-depth link radii.  Returns (coeffs, c, near)."""
+    rng = np.random.default_rng(seed)
+    d = m + simple + (depth is not None)
+
+    def link(z):
+        return max(CLUSTER_RADIUS, _SPLIT_NOISE ** (1.0 / d)) * max(1.0, abs(z))
+
+    pts = []
+    while len(pts) < simple + 1:
+        z = 10.0 ** rng.uniform(-1, 1) * np.exp(2j * np.pi * rng.random())
+        if all(abs(z - o) > 4.0 * link(max(abs(z), abs(o))) for o in pts):
+            pts.append(z)
+    c = pts[0]
+    planted = [c] * m + pts[1:]
+    near = None
+    if depth is not None:
+        near = link(c) * 10.0 ** -depth * np.exp(2j * np.pi * angle)
+        planted.append(c + near)
+    lead = rng.standard_normal() + 1j * rng.standard_normal()
+    return np.poly(planted)[::-1] * lead, c, near
+
+
+def _ring_scale(coeffs, c, m):
+    """Radius of the ring that rounding spreads an m-fold root c into:
+    (eps * L1 bound at |c| / |p^(m)(c) / m!|)**(1/m)."""
+    q = coeffs
+    for _ in range(m):
+        q = q[1:] * np.arange(1, len(q))
+    top = abs(np.polyval(q[::-1], c)) / math.factorial(m)
+    return (_EPS * np.polyval(np.abs(coeffs)[::-1], abs(c)) / top) ** (1.0 / m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=st.integers(2, 6), simple=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_resolver_returns_a_planted_multiple_root(m, simple, seed):
+    # one planted m-fold root, every simple root outside the link radius
+    coeffs, _, _ = _planted_cluster(seed, m, simple)
+    assert sorted(roots(Poly(coeffs)).multiplicities) == [1] * simple + [m]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=st.integers(4, 6), simple=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1), depth=st.floats(0.0, 2.0),
+       angle=st.floats(0.0, 1.0))
+def test_resolver_keeps_a_simple_root_beside_a_multiple_one(m, simple, seed,
+                                                            depth, angle):
+    # one more simple root inside the link radius of the m-fold root, at
+    # least 10 ring scales from it, where the planted center passes the
+    # derivative ladder: the cluster resolves to the m-fold center plus one
+    # leftover point.  For m = 2 and 3 the ladder's thresholds, not the
+    # ring, set how close a simple root may come (it is merged or misplaced
+    # by about its distance), so those are left out.  The error bound is
+    # 1e-3 ring scales; the worst of 523 such draws was 3.1e-4
+    coeffs, c, near = _planted_cluster(seed, m, simple, depth, angle)
+    ring = _ring_scale(coeffs, c, m)
+    assume(abs(near) >= 10 * ring and _RootResolver(coeffs)._validated(c, m))
+    rm = roots(Poly(coeffs))
+    assert sorted(rm.multiplicities) == [1] * (simple + 1) + [m]
+    err = min(abs(r - (c + near)) for r, k in rm.entries if k == 1)
+    assert err <= 1e-3 * ring
 
 
 def _root_rows(seed, shape, log_scale):
