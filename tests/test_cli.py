@@ -432,6 +432,23 @@ class TestSubcommands:
                      "-0.66519467348661354", "0.35151007009301971"])
         assert code == 0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 2: T[1] = (z - i)(z + 1) + 1e-16 z^3 keeps its "
+        "noise-level top coefficient, the root finder returns points that "
+        "are not roots for the O(1) roots, and the scan passes silently"))
+    def test_noise_level_top_coefficient_is_not_a_silent_pass(self, tmp_path,
+                                                              capsys):
+        # T[1] has the root i, inside the upper half-plane, at every w
+        path = tmp_path / "noise-top.json"
+        path.write_text(json.dumps({"form": "monomial", "N": 3, "images": {
+            str(k): [[0, 0]] * k + [[0, -1], [1, -1], [1, 0], [1e-16, 0]]
+            for k in range(4)}}))
+        code = main(["certify", str(path), "--class", "closed", "--domain",
+                     "upper-half-plane", "--samples", "512", "--nmax", "1",
+                     "--json"])
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert (code, verdict) != (0, "evidence-consistent")
+
 
 class TestTextOutput:
     @pytest.mark.parametrize("op, argv, code, expect", [

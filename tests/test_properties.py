@@ -9,7 +9,7 @@ from rootcert import BiPoly, Poly, base_symbol, from_roots, preset, roots
 from rootcert.poly import (CLUSTER_RADIUS, TRIM_TOL, _EPS, _SPLIT_NOISE,
                            _RootResolver, _aberth_points, _expand_rows, _finalize_points,
                            _simple_multisets, _trimmed_degrees, roots_batch)
-from rootcert.symbols import _core_cofactor
+from rootcert.symbols import _chart, _core_cofactor, _interior_counts
 
 from conftest import build_battery
 
@@ -319,3 +319,61 @@ def test_batch_rows_equal_roots_of_each_row(kinds, padding, seed):
             assert rm is None
         else:
             assert rm == roots(Poly(row))
+
+
+def _charted_roots_count(preset_name, roots_t, lead):
+    """_interior_counts of lead * prod (z - z_i), z_i the points the domain's
+    chart sends to roots_t."""
+    dom = preset(preset_name)
+    M = _chart(dom, 1)      # row k: (delta t - beta)^k (alpha - gamma t)^(1 - k)
+    alpha, gamma = M[0, 0], -M[0, 1]
+    beta, delta = -M[1, 0], M[1, 1]
+    t = np.asarray(roots_t, dtype=np.complex128)
+    # t = alpha/gamma is the image of z = infinity (t = 0 on the exterior disk)
+    assume(np.all(np.abs(alpha - gamma * t) >= 0.1 * np.abs(gamma)))
+    z = (delta * t - beta) / (alpha - gamma * t)
+    row = lead * from_roots(z).coeffs
+    count, certain = _interior_counts(row[None, :], np.array([len(z)]),
+                                      np.abs(row)[None, :], dom)
+    return int(count[0]), bool(certain[0])
+
+
+_ANGLE = st.floats(0.0, 2 * math.pi)
+_INSIDE = st.tuples(st.floats(0.0, 0.9), _ANGLE)
+_OUTSIDE = st.tuples(st.floats(1.1, 10.0), _ANGLE)
+_LEAD = st.tuples(st.floats(-3, 3), _ANGLE)
+
+
+def _points(polar):
+    return [r * complex(math.cos(a), math.sin(a)) for r, a in polar]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(preset_name=st.sampled_from(PRESET_NAMES),
+       inside=st.booleans(),
+       polar=st.data(),
+       lead=_LEAD)
+def test_chart_roots_on_one_side_of_the_circle_are_counted(preset_name, inside,
+                                                          polar, lead):
+    # roots planted at |t| <= 0.9, or all at |t| >= 1.1, in the chart give
+    # the exact count with certainty
+    roots_t = _points(polar.draw(st.lists(_INSIDE if inside else _OUTSIDE,
+                                          min_size=1, max_size=9)))
+    count, certain = _charted_roots_count(
+        preset_name, roots_t, 10.0 ** lead[0] * complex(math.cos(lead[1]),
+                                                        math.sin(lead[1])))
+    assert certain and count == (len(roots_t) if inside else 0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(preset_name=st.sampled_from(PRESET_NAMES),
+       inner=st.lists(_INSIDE, max_size=5),
+       outer=st.lists(_OUTSIDE, max_size=4))
+def test_certain_counts_of_chart_roots_are_exact(preset_name, inner, outer):
+    # with roots on both sides, Schur-Cohn meets singular steps where no
+    # root is near the circle: (t - 0.5)(t - 2) has |a0| = |a2|.  Such rows
+    # must come out uncertain, never with a wrong count
+    assume(inner or outer)
+    count, certain = _charted_roots_count(preset_name,
+                                          _points(inner) + _points(outer), 1.0)
+    assert not certain or count == len(inner)

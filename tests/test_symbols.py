@@ -6,7 +6,7 @@ import pytest
 
 from rootcert import (BiPoly, LinearOperator, MoebiusDomain, Poly, ZeroInput,
                       base_symbol, nonvanishing_check, operator_symbol, preset)
-from rootcert import symbols
+from rootcert import certify, symbols
 from rootcert.certify import Budget, certify_closed, certify_open
 from rootcert.cli import report_json
 
@@ -299,3 +299,126 @@ class TestCoreDivisionKeepsReports:
         divided = reports()
         monkeypatch.setattr(symbols, "_core_cofactor", lambda F, dom: (F, 0))
         assert reports() == divided
+
+
+def _tagged_counts(block: np.ndarray, dom) -> tuple[np.ndarray, np.ndarray]:
+    """Per row: roots tagged interior, and tagged interior or boundary, by
+    roots_batch at trim_tol 0 and one tag_codes call per row."""
+    inner, closed = [], []
+    for rm in symbols.roots_batch(block, trim_tol=0.0):
+        codes = dom.tag_codes([z for z, m in rm.entries for _ in range(m)])
+        inner.append(int(np.count_nonzero(codes == 1)))
+        closed.append(int(np.count_nonzero(codes >= 0)))
+    return np.array(inner), np.array(closed)
+
+
+def _check_counts_against_roots(C: np.ndarray, dom, ws: np.ndarray) -> int:
+    """Cross-check the interior count of every live slice of C at ws against
+    its tagged roots; returns the number of rows with a certain count."""
+    slices, natural, ends, live = symbols._slice_block(C, ws)
+    if live.size == 0:
+        return 0
+    block = slices[live]
+    count, certain = symbols._interior_counts(block, ends[live] - 1,
+                                              natural[live], dom)
+    inner, closed = _tagged_counts(block, dom)
+    bad = np.flatnonzero(certain & ((count < inner) | (count > closed)))
+    assert bad.size == 0, [(int(ws[live[r]].real), count[r], inner[r], closed[r])
+                           for r in bad[:5]]
+    return int(np.count_nonzero(certain))
+
+
+class TestInteriorCount:
+    """The Schur-Cohn count that decides which slices are rooted, against
+    the root path it replaces: a certain count must lie between the roots
+    tagged interior and those tagged interior or boundary, so a certain 0
+    never sits next to an interior-tagged root."""
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_battery_slices(self, name, battery):
+        dom = preset(name)
+        certain = 0
+        for op in battery.values():
+            rng = np.random.default_rng(0)
+            for n in range(9):
+                F = operator_symbol(op, dom, n)
+                if F.is_zero():
+                    continue
+                ws = dom.sample(symbols.RegionTag.INTERIOR, 128, rng)
+                cofactor, _ = symbols._core_cofactor(F, dom)
+                certain += _check_counts_against_roots(cofactor.coeffs, dom, ws)
+        assert certain > 0
+
+    def test_random_domains(self, battery):
+        rng = np.random.default_rng(20)
+        for _ in range(20):
+            a, b, c, d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            dom = MoebiusDomain(a, b, c, d)
+            for op_name in ("identity", "derivative", "diag-k+1", "diag-2^k",
+                            "mul-z+i", "rank1-eval-i", "random-diff-0"):
+                for n in (1, 4, 8):
+                    F = operator_symbol(battery[op_name], dom, n)
+                    ws = dom.sample(symbols.RegionTag.INTERIOR, 32, rng)
+                    cofactor, _ = symbols._core_cofactor(F, dom)
+                    _check_counts_against_roots(cofactor.coeffs, dom, ws)
+
+    @pytest.mark.parametrize("name", ["upper-half-plane", "unit-disk"])
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_cauchy_root_rows(self, name, d):
+        dom = preset(name)
+        rng = np.random.default_rng(d)
+        planted = rng.standard_cauchy((200, d)) + 1j * rng.standard_cauchy((200, d))
+        rows = np.array([np.poly(r)[::-1] for r in planted])
+        count, certain = symbols._interior_counts(rows, np.full(200, d),
+                                                  np.abs(rows), dom)
+        inner, closed = _tagged_counts(rows, dom)
+        assert np.all(~certain | ((inner <= count) & (count <= closed)))
+        assert np.count_nonzero(certain) >= 190
+
+    def test_upper_half_plane_chart(self):
+        # row k is i^k (1 + t)^k (1 - t)^(d - k)
+        M = symbols._chart(H, 2)
+        np.testing.assert_array_equal(M, [[1, -2, 1], [1j, 0, -1j], [-1, -2, -1]])
+
+    def test_unit_disk_chart_is_t_equals_minus_z(self):
+        M = symbols._chart(UD, 3)
+        scale = M[0, 0]
+        np.testing.assert_allclose(M / scale, np.diag([1, -1, 1, -1]), atol=1e-15)
+
+    def test_upper_half_plane_scan_roots_few_slices(self, battery, monkeypatch):
+        # evidence counters: over the closed scans of the battery, a certain
+        # count of 0 leaves all but a few percent of the live slices unrooted
+        results = []
+        scan = certify.nonvanishing_check
+
+        def recording(*args, **kwargs):
+            results.append(scan(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(certify, "nonvanishing_check", recording)
+        for op in battery.values():
+            certify_closed(op, H, budget=Budget(w_samples=128, seed=0))
+        live = sum(r.w_samples - r.zero_slices for r in results)
+        rooted = sum(r.rooted_rows for r in results)
+        uncertain = sum(r.uncertain_rows for r in results)
+        assert uncertain > 0 and rooted < 0.05 * live
+
+    def test_constant_in_w_cofactor_is_rooted_once(self, monkeypatch):
+        # F = B1^2 (z - i) on the upper half-plane: every slice is z - i
+        F = base_symbol(H, 2) * BiPoly([[-1j], [1]])
+        rows = []
+        batch = symbols.roots_batch
+
+        def recording(block, **kwargs):
+            rows.append(len(block))
+            return batch(block, **kwargs)
+
+        monkeypatch.setattr(symbols, "roots_batch", recording)
+        res = nonvanishing_check(F, H, False, 64, rng=0)
+        assert res.found and abs(res.witness.z - 1j) < 1e-9
+        assert rows == [1] and res.rooted_rows == 1 and res.uncertain_rows == 0
+
+    def test_closure_mode_roots_every_distinct_slice(self):
+        F = BiPoly([[0, 2], [1, 0]])             # z + 2w
+        res = nonvanishing_check(F, H, True, 64, rng=0)
+        assert res.rooted_rows == 64 and res.uncertain_rows == 0
