@@ -210,8 +210,17 @@ def _closed_core(op: LinearOperator, dom: MoebiusDomain, degrees, budget: Budget
     return verdict, witness, diag, tags
 
 
-def _degrees(op: LinearOperator, n_max: int) -> range:
-    """The symbol degrees 0..n_max; n_max must lie in [0, horizon]."""
+def _degrees(op: LinearOperator, n_max: Optional[int]) -> range:
+    """The symbol degrees to check: the bound alone for a degree-bounded
+    operator, which takes no n_max; otherwise 0..n_max, where n_max lies in
+    [0, horizon] and None means min(8, horizon)."""
+    if op.bounded_degree is not None:
+        if n_max is not None:
+            raise ValueError(f"n_max does not apply to a degree-bounded operator "
+                             f"(bounded_degree = {op.bounded_degree})")
+        return range(op.bounded_degree, op.bounded_degree + 1)
+    if n_max is None:
+        n_max = min(8, op.horizon)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if n_max > op.horizon:
@@ -219,35 +228,24 @@ def _degrees(op: LinearOperator, n_max: int) -> range:
     return range(n_max + 1)
 
 
-def certify_closed(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
+def certify_closed(op: LinearOperator, dom: MoebiusDomain,
+                   n_max: Optional[int] = None,
                    budget: Budget = Budget()) -> CertReport:
     """Membership evidence for the closed complement class.
 
     A rank-one operator whose direction has all roots in the closed
     complement is certified outright.  Otherwise each operator symbol up to
     n_max is searched for zeros with both variables interior; identically
-    zero symbols vacuously pass and are skipped.
+    zero symbols vacuously pass and are skipped.  A degree-bounded operator
+    is checked at its bound degree only (route closed-symbol-bounded).
     """
-    verdict, witness, diag, _ = _closed_core(op, dom, _degrees(op, n_max), budget)
+    degrees = _degrees(op, n_max)
+    verdict, witness, diag, _ = _closed_core(op, dom, degrees, budget)
     diag["minimal_k"] = op.minimal_k()
-    return CertReport(verdict, Route.CLOSED_SYMBOL, RegionClass.COMPLEMENT,
-                      op.horizon, n_max, budget, witness, diag)
-
-
-def certify_closed_bounded(op: LinearOperator, dom: MoebiusDomain,
-                           budget: Budget = Budget()) -> CertReport:
-    """Closed-class evidence for an operator defined only up to a degree bound.
-
-    Identical to certify_closed except that only the symbol at the exact
-    bound degree is checked.
-    """
-    if op.bounded_degree is None:
-        raise ValueError("certify_closed_bounded needs a degree-bounded operator")
-    n = op.bounded_degree
-    verdict, witness, diag, _ = _closed_core(op, dom, [n], budget)
-    diag["minimal_k"] = op.minimal_k()
-    return CertReport(verdict, Route.CLOSED_SYMBOL_BOUNDED, RegionClass.COMPLEMENT,
-                      op.horizon, n, budget, witness, diag)
+    route = Route.CLOSED_SYMBOL if op.bounded_degree is None \
+        else Route.CLOSED_SYMBOL_BOUNDED
+    return CertReport(verdict, route, RegionClass.COMPLEMENT,
+                      op.horizon, degrees[-1], budget, witness, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +299,8 @@ def _boundary_poly_witness(op: LinearOperator, dom: MoebiusDomain,
 # open-class certification
 # ---------------------------------------------------------------------------
 
-def certify_open(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
+def certify_open(op: LinearOperator, dom: MoebiusDomain,
+                 n_max: Optional[int] = None,
                  budget: Budget = Budget()) -> CertReport:
     """Membership evidence for the open exterior class.
 
@@ -317,12 +316,13 @@ def certify_open(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
     and the operator falls through to the general branch, which falsifies it.
 
     Degree-bounded operators have no certificate route for the open class and
-    are handed to the falsifier oracle.
+    are handed to the falsifier oracle.  n_max is taken as in certify_closed.
     """
     if op.bounded_degree is not None:
+        top = _degrees(op, n_max)[-1]
         rng = budget.stream(3)
         w = falsify(op, dom, RegionClass.EXTERIOR, RegionClass.EXTERIOR,
-                    (0, op.bounded_degree), budget.trials, rng)
+                    (0, top), budget.trials, rng)
         verdict = Verdict.FALSIFIED if w is not None else Verdict.EVIDENCE_CONSISTENT
         diag = {"notes": ["oracle-only: no certificate route covers degree-bounded "
                           "operators on an open region"],
@@ -332,6 +332,7 @@ def certify_open(op: LinearOperator, dom: MoebiusDomain, n_max: int = 8,
     if op.is_zero():
         raise ZeroOperator("the open-class certifier needs a nonzero operator")
     degrees = _degrees(op, n_max)
+    n_max = degrees[-1]
 
     closed_verdict, closed_witness, diag, tags = _closed_core(
         op, dom, degrees, budget)

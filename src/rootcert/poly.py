@@ -119,12 +119,6 @@ class Poly:
     def __call__(self, z):
         return _polyval(self.coeffs, z)
 
-    def derivative(self) -> "Poly":
-        c = self.coeffs
-        if c.size <= 1:
-            return Poly.zero()
-        return Poly(c[1:] * np.arange(1, c.size))
-
     def shifted(self, k: int) -> "Poly":
         """Multiplication by z**k."""
         if k == 0:
@@ -205,11 +199,7 @@ class BiPoly:
 
     def restrict_w(self, w0: complex) -> Poly:
         """The univariate polynomial z -> F(z, w0)."""
-        c = self.coeffs
-        acc = c[:, -1].copy()
-        for j in range(c.shape[1] - 2, -1, -1):
-            acc = acc * w0 + c[:, j]
-        return Poly(acc)
+        return Poly(_polyval(self.coeffs.T, w0))
 
     def __call__(self, z: complex, w: complex) -> complex:
         return complex(self.restrict_w(w)(z))
@@ -269,7 +259,11 @@ class RootMultiset:
 # ---------------------------------------------------------------------------
 
 def _horner_batch(rows: np.ndarray, z: np.ndarray):
-    """Values, derivative values and L1 evaluation bounds at a batch of points."""
+    """Values, derivative values and L1 evaluation bounds at a batch of points.
+
+    Not merged with the scalar evaluators: numpy may fuse its complex products
+    (FMA), so in about half of random cases its values differ from scalar
+    evaluation in the last bits; at one point it is 9x slower than value_and_scale."""
     p = np.repeat(rows[:, -1:].astype(np.complex128), z.shape[1], axis=1)
     dp = np.zeros_like(p)
     bound = np.abs(p)
@@ -358,8 +352,13 @@ def _aberth_points(rows: np.ndarray) -> np.ndarray:
 # multiplicity resolution
 # ---------------------------------------------------------------------------
 
-def _component_indices(points: list[complex], radius_fn) -> list[list[int]]:
-    """Single-linkage component index lists under a per-pair radius; order-stable."""
+def _link_radius(spread: float, zi: complex, zj: complex) -> float:
+    """The pair's link radius: CLUSTER_RADIUS or spread * max(1, |zi|, |zj|)."""
+    return max(CLUSTER_RADIUS, spread * max(1.0, abs(zi), abs(zj)))
+
+
+def _component_indices(points: list[complex], spread: float) -> list[list[int]]:
+    """Single-linkage component index lists under _link_radius; order-stable."""
     n = len(points)
     parent = list(range(n))
 
@@ -371,7 +370,8 @@ def _component_indices(points: list[complex], radius_fn) -> list[list[int]]:
 
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= radius_fn(points[i], points[j]):
+            zi, zj = points[i], points[j]
+            if abs(zi - zj) <= _link_radius(spread, zi, zj):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[max(ri, rj)] = min(ri, rj)
@@ -390,7 +390,8 @@ class _RootResolver:
     recovers candidate centers from the roots of p^(m-1) (which collapse the
     ring back to first-order accuracy), and accepts a multiplicity hypothesis
     only when the derivative ladder confirms it on both sides, once per
-    cluster: the points it leaves over come out as simple roots.
+    cluster.  Each point it leaves over is polished by Newton steps on p
+    (_polish) and comes out as a simple root.
     """
 
     def __init__(self, coeffs: np.ndarray):
@@ -407,6 +408,10 @@ class _RootResolver:
         return self._derivs[j]
 
     def value_and_scale(self, j: int, z: complex) -> tuple[complex, float]:
+        # One scalar loop, not two _polyval calls: it is the inner step of
+        # _validated, where two calls made roots_batch on n-fold-root rows
+        # 8-25% slower; a bound from np.abs(c) differs from this one in the
+        # last bits in about 29% of random cases.
         c = self.deriv(j)
         az = max(1.0, abs(z))
         val = 0j
@@ -415,15 +420,6 @@ class _RootResolver:
             val = val * z + c[i]
             scale = scale * az + abs(c[i])
         return val, scale
-
-    def _link_radius(self, m: int):
-        floor = CLUSTER_RADIUS
-        spread = _SPLIT_NOISE ** (1.0 / max(m, 1))
-
-        def radius(zi: complex, zj: complex) -> float:
-            return max(floor, spread * max(1.0, abs(zi), abs(zj)))
-
-        return radius
 
     def _polish(self, z: complex, on: int = 0, steps: int = 2) -> complex:
         c = self.deriv(on)
@@ -467,34 +463,6 @@ class _RootResolver:
         val, scale = self.value_and_scale(m, c)
         return abs(val) > _VALIDATE_HI * scale
 
-    def _deflated_refine(self, z: complex,
-                         anchors: list[tuple[complex, int]]) -> complex:
-        """Newton steps from z on p / prod (z - a)**ma over the anchors, the
-        roots found so far (Maehly's implicit deflation: a correction term,
-        no coefficient division).  A point left over beside a resolved
-        m-fold root carries the ring's error; with the found roots divided
-        out, Newton lands it on a root not yet taken.
-        """
-        c0 = self.deriv(0)
-        c1 = self.deriv(1)
-        for _ in range(60):
-            pv = complex(_polyval(c0, z))
-            dz = [z - a for a, _ in anchors]
-            if pv == 0 or 0 in dz:
-                break
-            s = complex(_polyval(c1, z)) / pv
-            for d, (_, ma) in zip(dz, anchors):
-                s -= ma / d
-            if s == 0:
-                break
-            w = 1.0 / s
-            if not np.isfinite(w):
-                break
-            z = z - w
-            if abs(w) / max(1.0, abs(z)) <= 1e-13:
-                break
-        return z
-
     def _resolve_component(self, comp: list[complex]) -> list[tuple[complex, int]]:
         """One pass over a linked cluster: its first validated m-fold center,
         then each leftover point, nearest first, as a simple root."""
@@ -503,23 +471,22 @@ class _RootResolver:
             return [(self._polish(comp[0]), 1)]
         centroid = complex(np.mean(comp))
         diameter = max(abs(a - b) for a in comp for b in comp)
-        reach = 2.0 * diameter + self._link_radius(k)(centroid, centroid)
+        reach = 2.0 * diameter \
+            + _link_radius(_SPLIT_NOISE ** (1.0 / k), centroid, centroid)
         for m in range(k, 1, -1):
             cands = [c for c in self._candidate_centers(m) if abs(c - centroid) <= reach]
             cands.sort(key=lambda c: abs(c - centroid))
             for c in cands:
                 if not self._validated(c, m):
                     continue
-                found = [(c, m)]
-                for p in sorted(comp, key=lambda p: abs(p - c))[m:]:
-                    found.append((self._polish(self._deflated_refine(p, found)), 1))
-                return found
+                leftover = sorted(comp, key=lambda p: abs(p - c))[m:]
+                return [(c, m)] + [(self._polish(p), 1) for p in leftover]
         return [(self._polish(p), 1) for p in comp]
 
     def _merge(self, entries: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
         pts = [e[0] for e in entries]
         merged = []
-        for idxs in _component_indices(pts, lambda a, b: CLUSTER_RADIUS):
+        for idxs in _component_indices(pts, 0.0):
             members = [entries[i] for i in idxs]
             total = sum(m for _, m in members)
             loc = sum(r * m for r, m in members) / total
@@ -528,7 +495,7 @@ class _RootResolver:
 
     def resolve(self, points: list[complex]) -> list[tuple[complex, int]]:
         entries: list[tuple[complex, int]] = []
-        for idxs in _component_indices(points, self._link_radius(self.d)):
+        for idxs in _component_indices(points, _SPLIT_NOISE ** (1.0 / self.d)):
             entries.extend(self._resolve_component([points[i] for i in idxs]))
         entries = self._merge(entries)
         entries.sort(key=lambda e: (e[0].real, e[0].imag))
@@ -683,10 +650,7 @@ def root_uncertainty(coeffs, root: complex, multiplicity: int = 1) -> float:
     if len(c) <= 1:
         return float("inf")
     dc = c[1:] * np.arange(1, len(c))
-    r = abs(root)
-    bound = 0.0
-    for k in range(len(c) - 1, -1, -1):
-        bound = bound * r + abs(c[k])
+    bound = _polyval(np.abs(c), abs(root)).real
     denom = abs(complex(_polyval(dc, root)))
     if denom == 0.0:
         return float("inf")

@@ -5,8 +5,7 @@ from rootcert import (LinearOperator, MoebiusDomain, Poly, RegionClass,
                       RegionTag, ZeroOperator, preset)
 from rootcert.certify import (Budget, PolyWitness, Route, Verdict,
                               boundary_root_check, certify_closed,
-                              certify_closed_bounded, certify_open, falsify,
-                              gcd_image)
+                              certify_open, falsify, gcd_image)
 from rootcert.errors import AllImagesZero, DegreeOutOfRange
 from rootcert.symbols import ZeroWitness, nonvanishing_check, operator_symbol
 
@@ -69,12 +68,18 @@ class TestCertifyClosed:
         assert rep.budget.seed == 99 and rep.budget.w_samples == 64
         assert rep.horizon == N and rep.n_max == 8
 
+    @pytest.mark.parametrize("certify", [certify_closed, certify_open])
+    def test_default_nmax_stops_at_the_horizon(self, certify):
+        rep = certify(LinearOperator.identity(3), H, budget=SMALL)
+        assert rep.n_max == 3
+        assert [e["n"] for e in rep.diagnostics["symbols_closed"]] == [0, 1, 2, 3]
+
 
 class TestCertifyClosedBounded:
     def test_deriv_minus_z_bounded_on_lower(self):
         T = LinearOperator.from_diff_expansion(
             [Poly([0, -1]), Poly([1])], 3, bounded_degree=3)
-        rep = certify_closed_bounded(T, L, budget=SMALL)
+        rep = certify_closed(T, L, budget=SMALL)
         assert rep.verdict is Verdict.EVIDENCE_CONSISTENT
         assert rep.route is Route.CLOSED_SYMBOL_BOUNDED
         assert [e["n"] for e in rep.diagnostics["symbols_closed"]] == [3]
@@ -82,7 +87,7 @@ class TestCertifyClosedBounded:
     def test_identity_bounded_on_disk(self):
         T = LinearOperator.identity(2)
         T = LinearOperator(T.images, bounded_degree=2)
-        rep = certify_closed_bounded(T, UD, budget=SMALL)
+        rep = certify_closed(T, UD, budget=SMALL)
         assert rep.verdict is Verdict.EVIDENCE_CONSISTENT
 
     def test_point_evaluation_times_interior_direction_falsified(self):
@@ -90,14 +95,16 @@ class TestCertifyClosedBounded:
         # the designated region, so the single-degree symbol vanishes there
         alphas = [1j ** k for k in range(3)]
         T = LinearOperator([a * Poly([-2j, 1]) for a in alphas], bounded_degree=2)
-        rep = certify_closed_bounded(T, H, budget=SMALL)
+        rep = certify_closed(T, H, budget=SMALL)
         assert rep.verdict is Verdict.FALSIFIED
         assert isinstance(rep.witness, ZeroWitness)
         assert abs(rep.witness.z - 2j) < 1e-8
 
-    def test_requires_bound(self):
-        with pytest.raises(ValueError):
-            certify_closed_bounded(IDENTITY, H, budget=SMALL)
+    @pytest.mark.parametrize("certify", [certify_closed, certify_open])
+    def test_refuses_an_explicit_nmax(self, certify):
+        T = LinearOperator(LinearOperator.identity(2).images, bounded_degree=2)
+        with pytest.raises(ValueError, match="degree-bounded"):
+            certify(T, H, 2, budget=SMALL)
 
 
 class TestBoundaryRootCheck:

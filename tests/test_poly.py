@@ -31,19 +31,6 @@ class TestEval:
         np.testing.assert_allclose(p(zs), [1, 6, 1 + 2j + 3 * 1j ** 2 + 0])
 
 
-class TestDerivative:
-    def test_quadratic(self):
-        d = Poly([1, 0, 1]).derivative()
-        np.testing.assert_allclose(d.coeffs, [0, 2])
-
-    def test_constant(self):
-        assert Poly([5.0]).derivative().is_zero()
-
-    def test_cubic(self):
-        d = Poly([-2j, 3, 0, 1]).derivative()
-        np.testing.assert_allclose(d.coeffs, [3, 0, 3])
-
-
 class TestRoots:
     def test_conjugate_pair(self):
         rm = roots(Poly([1, 0, 1]))
