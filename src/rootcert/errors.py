@@ -10,7 +10,8 @@ class RootFindingFailed(RootCertError):
 
 
 class NonConvergence(RootFindingFailed):
-    """Simultaneous iteration did not converge within the iteration budget."""
+    """Companion-matrix eigenvalues could not be computed: a coefficient ratio
+    beyond the float range, or a LAPACK failure."""
 
 
 class ZeroPolynomial(RootCertError, ValueError):

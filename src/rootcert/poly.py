@@ -1,7 +1,8 @@
-"""Dense complex polynomials: arithmetic, simultaneous root finding, approximate GCD.
+"""Dense complex polynomials: arithmetic, batched root finding, approximate GCD.
 
 Degrees stay small throughout the package (tens, not thousands), so the
-representation is dense numpy arrays and direct convolutions.
+representation is dense numpy arrays and direct convolutions, and roots are
+companion-matrix eigenvalues.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from .errors import NonConvergence, ZeroPolynomial
 
 TRIM_TOL = 1e-12        # relative floor below which trailing coefficients are noise
 CLUSTER_RADIUS = 1e-6   # merge radius for multiplicity detection
-ROOT_TOL = 1e-12        # correction threshold of the simultaneous iteration
-MAX_ITERS = 200
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -255,7 +254,7 @@ class RootMultiset:
 
 
 # ---------------------------------------------------------------------------
-# simultaneous iteration
+# root points
 # ---------------------------------------------------------------------------
 
 def _horner_batch(rows: np.ndarray, z: np.ndarray):
@@ -275,16 +274,13 @@ def _horner_batch(rows: np.ndarray, z: np.ndarray):
     return p, dp, bound
 
 
-def _aberth_points(rows: np.ndarray) -> np.ndarray:
-    """Aberth–Ehrlich sweep for a batch of same-degree polynomials.
+def _row_roots(rows: np.ndarray) -> np.ndarray:
+    """All roots of each row of a block of same-degree polynomials, as the
+    eigenvalues of their companion matrices, found in one batched LAPACK call.
 
     ``rows[:, i]`` holds z**i coefficients; the leading column must be nonzero
-    in every row.  Each row is rescaled so its Fujiwara root bound becomes
-    O(1) (heavy-tailed samples otherwise overflow the Horner evaluation), and
-    starting points sit on a perturbed circle at that bound.  A point counts
-    as settled when its correction drops below ROOT_TOL * max(1, |y|) or its
-    residual reaches the evaluation noise floor (the only achievable
-    criterion at multiple roots).
+    in every row.  A companion entry that is not finite (a coefficient ratio
+    beyond the float range) or a LAPACK failure raises NonConvergence.
     """
     m, width = rows.shape
     d = width - 1
@@ -292,60 +288,14 @@ def _aberth_points(rows: np.ndarray) -> np.ndarray:
         return np.zeros((m, 0), dtype=np.complex128)
     if d == 1:
         return (-rows[:, 0] / rows[:, 1])[:, None]
-
-    rows = rows / np.abs(rows).max(axis=1, keepdims=True)
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(rows))          # -inf marks zero coefficients
-    powers = 1.0 / (d - np.arange(d))
-    ratio_logs = (log_mag[:, :-1] - log_mag[:, -1:]) * powers
-    radius = 2.0 * np.exp(np.max(ratio_logs, axis=1))
-    radius = np.maximum(radius, 1e-3)
-
-    # substitute z = s*y; exponent bookkeeping keeps the rescaled coefficients
-    # in [~trim_tol, 1] so no power of s is ever formed directly
-    scale = np.maximum(radius, 1.0)
-    k = np.arange(width)
-    shifted = log_mag + np.log(scale)[:, None] * k
-    ref = shifted.max(axis=1, keepdims=True)
-    factors = np.exp(np.log(scale)[:, None] * k - ref + 0.0)
-    coeffs_y = rows * factors
-    start_radius = radius / scale
-
-    idx = np.arange(d)
-    start = (1.0 + 0.08 * ((idx * 0.6180339887498949) % 1.0)) \
-        * np.exp(1j * (2.0 * np.pi * idx / d + 0.41))
-    y = start_radius[:, None] * start[None, :]
-
-    eye = np.eye(d, dtype=bool)
-    done = np.zeros(m, dtype=bool)
-    floor_factor = 4.0 * d * _EPS
+    companion = np.zeros((m, d, d), dtype=np.complex128)
+    companion[:, 1:, :-1] = np.eye(d - 1)
     with np.errstate(all="ignore"):
-        for _ in range(MAX_ITERS):
-            active = np.nonzero(~done)[0]
-            if active.size == 0:
-                break
-            ya = y[active]
-            p, dp, bound = _horner_batch(coeffs_y[active], ya)
-            at_floor = np.abs(p) <= floor_factor * bound
-            newton = dp / np.where(at_floor, 1.0, p)
-            diff = ya[:, :, None] - ya[:, None, :]
-            diff[:, eye] = 1.0
-            collided = np.abs(diff) < 1e-290
-            if collided.any():
-                diff = np.where(collided, 1e-290, diff)
-            inv = 1.0 / diff
-            inv[:, eye] = 0.0
-            denom = newton - inv.sum(axis=2)
-            denom = np.where(denom == 0, 1.0, denom)
-            w = np.where(at_floor, 0.0, 1.0 / denom)
-            w = np.where(np.isfinite(w), w, 0.05)
-            ya = ya - w
-            y[active] = ya
-            settled = at_floor | (np.abs(w) <= ROOT_TOL * np.maximum(1.0, np.abs(ya)))
-            done[active] = settled.all(axis=1)
-    if not done.all():
-        raise NonConvergence(f"root iteration did not settle within {MAX_ITERS} sweeps")
-    return y * scale[:, None]
+        companion[:, :, -1] = -rows[:, :-1] / rows[:, -1:]
+    try:
+        return np.linalg.eigvals(companion)     # rejects non-finite entries too
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"companion eigenvalues failed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +332,7 @@ def _component_indices(points: list[complex], spread: float) -> list[list[int]]:
 
 
 class _RootResolver:
-    """Turns converged iteration points into (location, multiplicity) entries.
+    """Turns a row's computed root points into (location, multiplicity) entries.
 
     Floating-point coefficient noise scatters an m-fold root into a ring of
     radius ~ _SPLIT_NOISE**(1/m), far wider than any fixed merge radius once
@@ -445,14 +395,7 @@ class _RootResolver:
         dq = _trimmed_degrees(self.deriv(m - 1), 0.0)
         if dq < 1:
             return []
-        q = self.deriv(m - 1)[: dq + 1]
-        if dq == 1:
-            return [complex(-q[0] / q[1])]
-        if dq == 2:
-            a, b, c0 = q[2], q[1], q[0]
-            sq = np.sqrt(complex(b * b - 4.0 * a * c0))
-            return [complex((-b - sq) / (2 * a)), complex((-b + sq) / (2 * a))]
-        pts = _aberth_points(q[None, :])[0]
+        pts = _row_roots(self.deriv(m - 1)[None, : dq + 1])[0]
         return [self._polish(complex(p), on=m - 1, steps=1) for p in pts]
 
     def _validated(self, c: complex, m: int) -> bool:
@@ -515,7 +458,8 @@ def _finalize_points(coeffs: np.ndarray, pts: np.ndarray) -> RootMultiset:
 
 
 def _simple_multisets(rows: np.ndarray, pts: np.ndarray) -> list[RootMultiset | None]:
-    """Root multisets of the rows whose points are all simple; None elsewhere.
+    """Root multisets of the rows whose root points (pts, from _row_roots)
+    are all simple; None elsewhere.
 
     A row is simple when no two of its points lie within the resolver's link
     radius.  _finalize_points would then resolve every point as a
@@ -573,9 +517,9 @@ def _roots_rows(rows: np.ndarray, degrees: np.ndarray) -> list[RootMultiset | No
 
     The one root path behind roots and roots_batch.  roots calls this, not
     roots_batch, so that perfbench's roots_batch counters see batch calls only.
-    Rows of equal degree d are iterated together as rows[idx, :d+1]; rows
-    whose points are all simple are finished together (_simple_multisets),
-    the rest go through the resolver one by one.
+    Rows of equal degree d are rooted together as rows[idx, :d+1] by one
+    _row_roots call; rows whose points are all simple are finished together
+    (_simple_multisets), the rest go through the resolver one by one.
     """
     results: list[RootMultiset | None] = [None] * len(degrees)
     for d in sorted(set(degrees.tolist()) - {-1}):
@@ -585,7 +529,7 @@ def _roots_rows(rows: np.ndarray, degrees: np.ndarray) -> list[RootMultiset | No
                 results[i] = RootMultiset((), 0.0)
             continue
         block = rows[idx, : d + 1]
-        pts = _aberth_points(block)
+        pts = _row_roots(block)
         simple = _simple_multisets(block, pts)
         for row, i in enumerate(idx.tolist()):
             results[i] = simple[row] if simple[row] is not None \
@@ -614,13 +558,14 @@ def roots_batch(polys, trim_tol: float = TRIM_TOL) -> list[RootMultiset | None]:
     i), which is used as it is, or a sequence of Poly objects and
     coefficient sequences, which is zero-padded into one block first.  Each
     row is trimmed by _trimmed_degrees at trim_tol (0 drops exact zeros
-    only).  The simultaneous iteration is batched across rows of equal
-    trimmed degree, which is where the speed comes from when scanning
-    hundreds of slice polynomials.  Rows whose points are all simple roots
-    are then finished together as arrays; only rows with a cluster of
-    points go through the multiplicity resolver one by one, so a simple
-    root may differ from the resolver's in the last bits.  Zero rows map to
-    None; constants map to an empty multiset.
+    only).  The companion-matrix eigenvalues of all rows of equal trimmed
+    degree come from one LAPACK call, which is where the speed comes from
+    when rooting hundreds of slice polynomials.  Rows whose points are all
+    simple roots are then finished together as arrays; only rows with a
+    cluster of points go through the multiplicity resolver one by one, so a
+    simple root may differ from the resolver's in the last bits.  Zero rows
+    map to None; constants map to an empty multiset.  A row whose companion
+    matrix overflows raises NonConvergence.
     """
     if isinstance(polys, np.ndarray) and polys.ndim == 2:
         block = polys.astype(np.complex128, copy=False)

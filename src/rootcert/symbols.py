@@ -73,8 +73,10 @@ class NonvanishingResult:
         return self.witness is not None
 
 
+@functools.lru_cache(maxsize=64)
 def base_symbol(dom: MoebiusDomain, n: int) -> BiPoly:
-    """((az+b)(cw+d) + (aw+b)(cz+d)) ** n, symmetric in (z, w) by construction."""
+    """((az+b)(cw+d) + (aw+b)(cz+d)) ** n, symmetric in (z, w) by construction;
+    cached per (domain, n), which is safe since a BiPoly is immutable."""
     a, b, c, d = dom.a, dom.b, dom.c, dom.d
     cross = a * d + b * c
     core = BiPoly([[2.0 * b * d, cross],

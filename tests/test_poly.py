@@ -272,11 +272,31 @@ class TestArithmetic:
             p.coeffs[0] = 5
 
 
-def test_nonconvergence_with_tiny_budget(monkeypatch):
-    from rootcert import NonConvergence, poly
-    monkeypatch.setattr(poly, "MAX_ITERS", 1)
-    with pytest.raises(NonConvergence):
-        roots(from_roots([1.0, 2.0, 3.0]))
+class TestRootFailures:
+    def test_noise_level_top_coefficient_keeps_the_unit_roots(self):
+        # the top coefficient 1e-16 puts one root at -1e16; the other two
+        # must still come out at -2 and -1, not where a search started
+        (rm,) = roots_batch([[2, 3, 1, 1e-16]], trim_tol=0.0)
+        locs = [r for r, _ in rm.entries]
+        assert rm.multiplicities == (1, 1, 1)
+        for got, want in zip(locs, [-1e16, -2.0, -1.0]):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_lapack_failure_is_nonconvergence(self, monkeypatch):
+        from rootcert import NonConvergence
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        with pytest.raises(NonConvergence):
+            roots(from_roots([1.0, 2.0, 3.0]))
+
+    def test_overflowing_companion_is_nonconvergence(self):
+        # the companion entry -1e300 / 1e-300 is not a float
+        from rootcert import NonConvergence
+        with pytest.raises(NonConvergence):
+            roots_batch(np.array([[1e300, 0, 1e-300]]), trim_tol=0.0)
 
 
 def test_root_uncertainty_scales():

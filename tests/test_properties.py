@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rootcert import BiPoly, Poly, base_symbol, from_roots, preset, roots
 from rootcert.poly import (CLUSTER_RADIUS, TRIM_TOL, _EPS, _SPLIT_NOISE,
-                           _RootResolver, _aberth_points, _expand_rows, _finalize_points,
+                           _RootResolver, _expand_rows, _finalize_points, _row_roots,
                            _simple_multisets, _trimmed_degrees, roots_batch)
 from rootcert.symbols import _chart, _core_cofactor, _interior_counts
 
@@ -65,7 +65,7 @@ def _separated_roots(rng, count, d, existing=()):
        seed=st.integers(0, 2 ** 32 - 1))
 def test_simple_rows_match_the_resolver(degrees, planted, seed):
     # simple rows are finished in bulk; each must agree with the one-by-one
-    # resolver on the same iteration points, and rows with a planted double
+    # resolver on the same root points, and rows with a planted double
     # or triple root in the same batch must keep the resolver's multiplicities
     rng = np.random.default_rng(seed)
     batch, kinds = [], []
@@ -80,7 +80,7 @@ def test_simple_rows_match_the_resolver(degrees, planted, seed):
     rows = [np.poly(r)[::-1] * c for r, c in zip(batch, lead)]
     got = roots_batch(rows, trim_tol=0.0)      # coefficients span beyond TRIM_TOL
     for row, rm, m in zip(rows, got, kinds):
-        pts = _aberth_points(row[None, :])
+        pts = _row_roots(row[None, :])
         ref = _finalize_points(row, pts[0])
         assert rm.multiplicities == ref.multiplicities
         if m == 1:
@@ -319,6 +319,29 @@ def test_batch_rows_equal_roots_of_each_row(kinds, padding, seed):
             assert rm is None
         else:
             assert rm == roots(Poly(row))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(degree=st.integers(2, 9), count=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_noise_level_top_coefficient_leaves_no_false_root(degree, count, seed):
+    # Gaussian rows whose top coefficient is at noise level: one root near
+    # 1/|top|, the others O(1).  Every entry must be a root, by a residual
+    # scaled by the row's L1 evaluation bound.  Rows with a root below 1e-6
+    # (Cauchy's lower bound) are left out: CLUSTER_RADIUS is absolute and
+    # may merge two such roots into one entry that is not a root.
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((count, degree + 1)) \
+        + 1j * rng.standard_normal((count, degree + 1))
+    rows[:, -1] = rng.uniform(1e-16, 2e-16, count) \
+        * np.exp(2j * np.pi * rng.random(count))
+    low = np.abs(rows[:, 0]) / (np.abs(rows[:, 0]) + np.abs(rows[:, 1:]).max(axis=1))
+    assume(np.all(low > 1e-6))
+    for row, rm in zip(rows, roots_batch(rows, trim_tol=0.0)):
+        assert rm.total_multiplicity() == degree
+        for r, _ in rm.entries:
+            bound = np.polyval(np.abs(row)[::-1], abs(r))
+            assert abs(np.polyval(row[::-1], r)) <= 1e-12 * bound
 
 
 def _charted_roots_count(preset_name, roots_t, lead):
