@@ -19,9 +19,10 @@ from .domains import _TAG_BY_CODE, MoebiusDomain, RegionClass, RegionTag
 from .errors import (AllImagesZero, DegreeOutOfRange, RootFindingFailed,
                      ZeroOperator)
 from .operators import LinearOperator, RankOneForm
-from .poly import (Poly, RootMultiset, _expand_rows, approx_gcd, from_roots,
-                   root_uncertainty, roots, roots_batch)
-from .symbols import ZeroWitness, _as_rng, nonvanishing_check, operator_symbol
+from .poly import (TRIM_TOL, Poly, RootMultiset, _expand_rows, _trimmed_degrees,
+                   approx_gcd, from_roots, root_uncertainty, roots, roots_batch)
+from .symbols import (ZeroWitness, _as_rng, _interior_counts, nonvanishing_check,
+                      operator_symbol)
 
 RESIDUAL_TOL = 1e-8
 BOUNDARY_FRACTION = 0.25   # share of boundary roots in closed-class samples
@@ -394,14 +395,70 @@ def _sample_class(dom: MoebiusDomain, cls: RegionClass, count: int,
 def _trial_roots(dom: MoebiusDomain, cls: RegionClass, degrees: np.ndarray,
                  rng: np.random.Generator) -> np.ndarray:
     """Row t holds the degrees[t] roots of trial t, drawn in trial order as
-    _sample_class draws them, then zero padding."""
+    _sample_class draws them, then zero padding.
+
+    Open classes are drawn by ``sample_rows``.  For closed classes each
+    trial makes _sample_class's rng calls in its order: the boundary mask
+    by ``random``, then the Cauchy draws of its boundary points and of its
+    other points; the points of each region are then pulled back in one
+    ``_pulled_back`` call.  If any point is rejected, the generator's state
+    is restored and the trials are drawn one ``_sample_class`` call at a
+    time, so the stream and the points are the same either way.
+    """
     tags = cls.sample_tags
     if len(tags) == 1:
         return dom.sample_rows(tags[0], degrees, rng)
     out = np.zeros((degrees.size, int(degrees.max())), dtype=np.complex128)
+    on_boundary = np.zeros(out.shape, dtype=bool)
+    state = rng.bit_generator.state
+    bx, x, y = [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
+    for t, d in enumerate(degrees.tolist()):
+        if d == 0:
+            continue
+        mask = rng.random(d) < BOUNDARY_FRACTION
+        on_boundary[t, :d] = mask
+        nb = int(mask.sum())
+        if nb:
+            bx.append(rng.standard_cauchy(nb))
+        if d - nb:
+            x.append(rng.standard_cauchy(d - nb))
+            y.append(rng.standard_cauchy(d - nb))
+    zb, okb = dom._pulled_back(RegionTag.BOUNDARY, np.concatenate(bx), None)
+    z, ok = dom._pulled_back(tags[0], np.concatenate(x), np.concatenate(y))
+    if okb.all() and ok.all():
+        out[on_boundary] = zb
+        out[(np.arange(out.shape[1]) < degrees[:, None]) & ~on_boundary] = z
+        return out
+    rng.bit_generator.state = state
     for t, d in enumerate(degrees.tolist()):
         out[t, :d] = _sample_class(dom, cls, d, rng)
     return out
+
+
+def _rows_to_root(images: np.ndarray, dom: MoebiusDomain,
+                  target: RegionClass) -> np.ndarray:
+    """Trial-order indices of the image rows that may have a root outside
+    target: every row of degree >= 1 but those whose Schur-Cohn count
+    certainly keeps all roots in target.
+
+    In the domain's chart t, tag_codes tags a root interior exactly when
+    |t| < r and exterior exactly when |t| > 1/r, with r**2 = (1 - tol) /
+    (1 + tol).  So a row stays in INTERIOR when all its roots lie in
+    |t| < r, in CLOSURE when all lie in |t| < 1/r, in COMPLEMENT when none
+    lies in |t| < r and in EXTERIOR when none lies in |t| < 1/r.  Degrees
+    are trimmed as roots_batch trims them.
+    """
+    degrees = _trimmed_degrees(images, TRIM_TOL)
+    rows = np.flatnonzero(degrees >= 1)
+    radius = float(np.sqrt((1.0 - dom.tol) / (1.0 + dom.tol)))
+    if target in (RegionClass.CLOSURE, RegionClass.EXTERIOR):
+        radius = 1.0 / radius
+    block = images[rows]
+    count, certain = _interior_counts(block, degrees[rows], np.abs(block), dom,
+                                      radius)
+    full = degrees[rows] if target in (RegionClass.INTERIOR, RegionClass.CLOSURE) \
+        else 0
+    return rows[~(certain & (count == full))]
 
 
 def falsify(op: LinearOperator, dom: MoebiusDomain,
@@ -417,16 +474,20 @@ def falsify(op: LinearOperator, dom: MoebiusDomain,
     open targets the boundary band counts as outside, for closed targets it
     does not.  An empty result is a valid outcome, not an error.
 
-    Trials are built and rooted in trial-order chunks, one degree cycle
-    first and twice the previous chunk after that.  Each chunk's inputs are
-    drawn as one block (open source classes; closed ones mix in boundary
-    points and draw trial by trial), expanded one degree at a time by
-    ``_expand_rows`` and mapped by one ``apply_rows`` pass; its image roots
-    are tagged in one ``tag_codes`` call, and the search returns at the
-    first verified witness.  Inputs draw from rng in trial order either way,
-    so the witness is the one with the smallest trial index, as if every
-    trial were built by ``_sample_class``, ``from_roots`` and ``op.apply``
-    and rooted at once.
+    Trials are built in trial-order chunks, one degree cycle first and
+    twice the previous chunk after that.  Each chunk's inputs are drawn as
+    one block (``_trial_roots``), expanded one degree at a time by
+    ``_expand_rows`` and mapped by one ``apply_rows`` pass.  Each image's
+    roots in the target class are then counted, not found
+    (``_rows_to_root``): a row whose Schur-Cohn count in the chart certainly
+    keeps every root in the target cannot escape and is not rooted.  The
+    other rows are rooted in trial order in two ``roots_batch`` calls, the
+    first row alone and then the rest, each call's roots tagged in one
+    ``tag_codes`` call, and the search returns at the first verified
+    witness.  Inputs draw from rng in trial order either way, so the
+    witness is the one with the smallest trial index, as if every trial
+    were built by ``_sample_class``, ``from_roots`` and ``op.apply`` and
+    rooted at once.
     """
     target = source if target is None else target
     rng = _as_rng(rng)
@@ -449,18 +510,22 @@ def falsify(op: LinearOperator, dom: MoebiusDomain,
         for j in range(min(cycle, stop - start)):
             d = int(degrees[j])
             inputs[j::cycle, : d + 1] = _expand_rows(root_rows[j::cycle, :d])
-        multisets = roots_batch(op.apply_rows(inputs))
-        found = [(t, r) for t, rm in enumerate(multisets) if rm is not None
-                 for r, _ in rm.entries]
-        codes = dom.tag_codes([r for _, r in found])
-        for (t, r), code in zip(found, codes.tolist()):
-            if target.contains(_TAG_BY_CODE[code]):
+        images = op.apply_rows(inputs)
+        rows = _rows_to_root(images, dom, target)
+        for part in (rows[:1], rows[1:]):
+            if part.size == 0:
                 continue
-            p = Poly(inputs[t, : degrees[t] + 1])
-            w = _verified_poly_witness(op, dom, p, op.apply(p), source, target,
-                                       preferred=r)
-            if w is not None:
-                return w
+            found = [(t, r) for t, rm in zip(part.tolist(), roots_batch(images[part]))
+                     for r, _ in rm.entries]
+            codes = dom.tag_codes([r for _, r in found])
+            for (t, r), code in zip(found, codes.tolist()):
+                if target.contains(_TAG_BY_CODE[code]):
+                    continue
+                p = Poly(inputs[t, : degrees[t] + 1])
+                w = _verified_poly_witness(op, dom, p, op.apply(p), source, target,
+                                           preferred=r)
+                if w is not None:
+                    return w
         start, size = stop, 2 * size
     return None
 

@@ -179,17 +179,21 @@ def _slice_block(C: np.ndarray, ws: np.ndarray):
 
 
 @functools.lru_cache(maxsize=64)
-def _chart(dom: MoebiusDomain, d: int) -> np.ndarray:
+def _chart(dom: MoebiusDomain, d: int, radius: float = 1.0) -> np.ndarray:
     """The (d+1)x(d+1) matrix taking z**k coefficients of a degree-d row to
-    the t**k coefficients of (alpha - gamma t)**d p((delta t - beta) /
-    (alpha - gamma t)), where t = (alpha z + beta) / (gamma z + delta) maps
-    the domain's interior onto the open unit disk.
+    the s**k coefficients of (alpha - gamma t)**d p((delta t - beta) /
+    (alpha - gamma t)) at t = radius * s, where t = (alpha z + beta) /
+    (gamma z + delta) maps the domain's interior onto the open unit disk;
+    the roots in |s| < 1 are those in |t| < radius.
 
     With alpha, beta = a - ic, b - id and gamma, delta = a + ic, b + id,
     t = (zeta - i) / (zeta + i) for zeta = (az + b) / (cz + d); row k holds
-    (delta t - beta)**k (alpha - gamma t)**(d - k).  A root at the exterior
-    point z = -delta/gamma goes to t = infinity: the charted row drops in
-    degree.
+    (delta t - beta)**k (alpha - gamma t)**(d - k), column k scaled by
+    radius**k.  A root at the exterior point z = -delta/gamma goes to
+    t = infinity: the charted row drops in degree.  Since
+    (1 - |t|**2) / (1 + |t|**2) = side(z) / _sphere(z), the boundary band
+    of tag_codes is the annulus (1 - tol) / (1 + tol) <= |t|**2 <=
+    (1 + tol) / (1 - tol).
     """
     alpha, beta = dom.a - 1j * dom.c, dom.b - 1j * dom.d
     gamma, delta = dom.a + 1j * dom.c, dom.b + 1j * dom.d
@@ -200,6 +204,7 @@ def _chart(dom: MoebiusDomain, d: int) -> np.ndarray:
         for factor in [num] * k + [den] * (d - k):
             row = np.convolve(row, factor)
         M[k] = row
+    M *= radius ** np.arange(d + 1)
     M.setflags(write=False)
     return M
 
@@ -239,9 +244,11 @@ def _disk_counts(q: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _interior_counts(block: np.ndarray, degrees: np.ndarray, natural: np.ndarray,
-                     dom: MoebiusDomain) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of each slice row in the domain's interior, and whether each
-    count is certain; rows are grouped by degree and counted in the chart.
+                     dom: MoebiusDomain, radius: float = 1.0
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of each row of degree >= 0 in the domain's interior, or in
+    |t| < radius in its chart, and whether each count is certain; rows are
+    grouped by degree and counted in the chart.
 
     A row's error amplification starts at its rounding in the chart: its
     natural scale pushed through |chart| against the charted row's size.
@@ -250,7 +257,7 @@ def _interior_counts(block: np.ndarray, degrees: np.ndarray, natural: np.ndarray
     certain = np.ones(len(degrees), dtype=bool)
     for d in sorted(set(degrees.tolist()) - {0}):
         idx = np.flatnonzero(degrees == d)
-        M = _chart(dom, d)
+        M = _chart(dom, d, radius)
         q = block[idx, : d + 1] @ M
         with np.errstate(all="ignore"):
             amp = (natural[idx, : d + 1] @ np.abs(M)).max(axis=1) \

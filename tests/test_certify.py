@@ -19,7 +19,10 @@ D = LinearOperator.derivative(N)
 MUL_Z = LinearOperator.multiply_by(Poly([0, 1]), N)
 DERIV_MINUS_Z = LinearOperator.from_diff_expansion([Poly([0, -1]), Poly([1])], N)
 MUL_Z_PLUS_I = LinearOperator.multiply_by(Poly([1j, 1]), N)
+MUL_Z_MINUS_I = LinearOperator.multiply_by(Poly([-1j, 1]), N)
+MUL_Z_MINUS_2 = LinearOperator.multiply_by(Poly([-2, 1]), N)
 WIDE_BAND = MoebiusDomain(1, 0, 0, 1, tol=0.5)
+BAND_03 = MoebiusDomain(1, 0, 0, 1, tol=0.3)
 
 SMALL = Budget(w_samples=128, trials=400, seed=0)
 
@@ -261,25 +264,41 @@ class TestFalsify:
                     return w
         return None
 
-    @pytest.mark.parametrize("op, dom, source, seed", [
-        *(pytest.param(MUL_Z, H, RegionClass.INTERIOR, seed, id=str(seed))
-          for seed in range(5)),
+    @pytest.mark.parametrize("op, dom, source, target, seed", [
+        *(pytest.param(MUL_Z, H, RegionClass.INTERIOR, RegionClass.INTERIOR, seed,
+                       id=str(seed)) for seed in range(5)),
         # the exterior source of certify_open's bounded route
-        *(pytest.param(MUL_Z, L, RegionClass.EXTERIOR, seed,
+        *(pytest.param(MUL_Z, L, RegionClass.EXTERIOR, RegionClass.EXTERIOR, seed,
                        id=f"exterior-lower-{seed}") for seed in range(3)),
-        # closed sources keep drawing trial by trial
-        *(pytest.param(MUL_Z_PLUS_I, H, RegionClass.CLOSURE, seed,
-                       id=f"closure-upper-{seed}") for seed in range(3)),
+        # closed sources, drawn in blocks of Cauchy numbers per chunk
+        *(pytest.param(MUL_Z_PLUS_I, H, RegionClass.CLOSURE, RegionClass.CLOSURE,
+                       seed, id=f"closure-upper-{seed}") for seed in range(3)),
+        *(pytest.param(MUL_Z_MINUS_2, UD, RegionClass.CLOSURE, RegionClass.CLOSURE,
+                       seed, id=f"closure-disk-{seed}") for seed in range(3)),
+        *(pytest.param(MUL_Z, UD, RegionClass.COMPLEMENT, RegionClass.COMPLEMENT,
+                       seed, id=f"complement-disk-{seed}") for seed in range(3)),
         # a wide band rejects draws, so chunks are drawn again trial by trial
-        *(pytest.param(MUL_Z, WIDE_BAND, RegionClass.INTERIOR, seed,
-                       id=f"wide-band-{seed}") for seed in range(3)),
+        *(pytest.param(MUL_Z, WIDE_BAND, RegionClass.INTERIOR, RegionClass.INTERIOR,
+                       seed, id=f"wide-band-{seed}") for seed in range(3)),
+        # every target class with a band of 0.3, where the count's radius is
+        # far from the unit circle of the chart
+        *(pytest.param(op, BAND_03, source, target, seed,
+                       id=f"band-0.3-{source.value}-{target.value}-{seed}")
+          for op, source, target in (
+              (MUL_Z, RegionClass.INTERIOR, RegionClass.INTERIOR),
+              (MUL_Z_PLUS_I, RegionClass.CLOSURE, RegionClass.CLOSURE),
+              (MUL_Z, RegionClass.EXTERIOR, RegionClass.EXTERIOR),
+              (MUL_Z_MINUS_I, RegionClass.COMPLEMENT, RegionClass.COMPLEMENT),
+              (MUL_Z_PLUS_I, RegionClass.INTERIOR, RegionClass.CLOSURE),
+              (MUL_Z, RegionClass.COMPLEMENT, RegionClass.EXTERIOR))
+          for seed in range(2)),
     ])
-    def test_early_exit_keeps_the_first_witness(self, op, dom, source, seed,
+    def test_early_exit_keeps_the_first_witness(self, op, dom, source, target, seed,
                                                 monkeypatch):
         rows = self._counting_roots_batch(monkeypatch)
-        w = falsify(op, dom, source, source, (0, 6), 500,
+        w = falsify(op, dom, source, target, (0, 6), 500,
                     np.random.default_rng(seed))
-        ref = self._all_at_once(op, dom, source, source, (0, 6), 500, seed)
+        ref = self._all_at_once(op, dom, source, target, (0, 6), 500, seed)
         assert w is not None and ref is not None
         assert w.bad_root == ref.bad_root
         np.testing.assert_array_equal(w.p.coeffs, ref.p.coeffs)
@@ -287,32 +306,44 @@ class TestFalsify:
         assert sum(rows) < 500
 
     @pytest.mark.parametrize("tol", [0.5, 0.3, 1e-3])
-    @pytest.mark.parametrize("source", [RegionClass.INTERIOR,
-                                        RegionClass.EXTERIOR])
+    @pytest.mark.parametrize("source", list(RegionClass))
     def test_chunk_draw_is_the_per_trial_stream(self, source, tol):
         # each chunk is drawn as one block; where a point is rejected the
         # chunk is drawn again trial by trial from the restored state.  At
         # tol 0.5 and 0.3 every seed takes the second path, at 1e-3 about
-        # half of them do
+        # half of them do (28 of 50 for the closed sources on both domains)
         from rootcert.certify import _sample_class, _trial_roots
-        dom = MoebiusDomain(1, 0, 0, 1, tol=tol)
         degrees = np.arange(14) % 7
-        for seed in range(50):
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            rows = _trial_roots(dom, source, degrees, rng)
-            ref = np.concatenate([_sample_class(dom, source, d, ref_rng)
-                                  for d in degrees.tolist()])
-            got = rows[np.arange(rows.shape[1]) < degrees[:, None]]
-            assert got.tobytes() == ref.tobytes()
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for domain in ((1, 0, 0, 1), (-1j, 1j, 1, 1)):
+            dom = MoebiusDomain(*domain, tol=tol)
+            for seed in range(50):
+                rng = np.random.default_rng(seed)
+                ref_rng = np.random.default_rng(seed)
+                rows = _trial_roots(dom, source, degrees, rng)
+                ref = np.concatenate([_sample_class(dom, source, d, ref_rng)
+                                      for d in degrees.tolist()])
+                got = rows[np.arange(rows.shape[1]) < degrees[:, None]]
+                assert got.tobytes() == ref.tobytes()
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
 
-    def test_preserver_roots_every_trial(self, monkeypatch):
+    def test_closed_source_draws_no_trial_alone(self, monkeypatch):
+        # at the default band no point of a chunk is rejected, so no trial
+        # goes through sample()
+        calls = []
+        sample = MoebiusDomain.sample
+        monkeypatch.setattr(MoebiusDomain, "sample",
+                            lambda *a: calls.append(a) or sample(*a))
+        assert falsify(D, H, RegionClass.CLOSURE, RegionClass.CLOSURE,
+                       (0, 8), 500, np.random.default_rng(0)) is None
+        assert calls == []
+
+    def test_preserver_roots_no_trial(self, monkeypatch):
+        # the identity keeps every image's roots where the input's were, so
+        # the count in the chart skips every row: none is rooted
         rows = self._counting_roots_batch(monkeypatch)
         assert falsify(IDENTITY, H, RegionClass.INTERIOR, RegionClass.INTERIOR,
                        (0, 6), 500, np.random.default_rng(0)) is None
-        assert sum(rows) == 500
-        # chunks of one degree cycle, then doubling
-        assert rows == [7, 14, 28, 56, 112, 224, 59]
+        assert rows == []
 
 
 class TestGcdImage:

@@ -5,7 +5,10 @@ import math
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from rootcert import BiPoly, Poly, base_symbol, from_roots, preset, roots
+from rootcert import (BiPoly, MoebiusDomain, Poly, RegionClass, base_symbol,
+                      from_roots, preset, roots)
+from rootcert.certify import _rows_to_root
+from rootcert.domains import _TAG_BY_CODE
 from rootcert.poly import (CLUSTER_RADIUS, TRIM_TOL, _EPS, _SPLIT_NOISE,
                            _RootResolver, _expand_rows, _finalize_points, _row_roots,
                            _simple_multisets, _trimmed_degrees, roots_batch)
@@ -400,3 +403,97 @@ def test_certain_counts_of_chart_roots_are_exact(preset_name, inner, outer):
     count, certain = _charted_roots_count(preset_name,
                                           _points(inner) + _points(outer), 1.0)
     assert not certain or count == len(inner)
+
+
+def _domain(index, tol):
+    """Preset index (0-3) or one of 20 seeded random domains (4-23)."""
+    if index < len(PRESET_NAMES):
+        return preset(PRESET_NAMES[index], tol=tol)
+    rng = np.random.default_rng([25, index])
+    a, b, c, d = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return MoebiusDomain(a, b, c, d, tol=tol)
+
+
+def _chart_coefficients(dom):
+    """alpha, beta, gamma, delta of the chart t = (alpha z + beta) /
+    (gamma z + delta) = (zeta - i) / (zeta + i)."""
+    return (dom.a - 1j * dom.c, dom.b - 1j * dom.d,
+            dom.a + 1j * dom.c, dom.b + 1j * dom.d)
+
+
+def _from_chart(dom, t):
+    alpha, beta, gamma, delta = _chart_coefficients(dom)
+    return (delta * t - beta) / (alpha - gamma * t)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(index=st.integers(0, 23),
+       log_tol=st.floats(-12, math.log10(0.5)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_boundary_band_is_an_annulus_in_the_chart(index, log_tol, seed):
+    # tag_codes is interior exactly when |t|^2 < (1 - tol) / (1 + tol) and
+    # exterior exactly when |t|^2 > (1 + tol) / (1 - tol).  Cauchy points,
+    # and points at relative distances 1e-11..1e-3 either side of each edge
+    tol = 10.0 ** log_tol
+    dom = _domain(index, tol)
+    rng = np.random.default_rng(seed)
+    lo, hi = (1 - tol) / (1 + tol), (1 + tol) / (1 - tol)
+    edge = np.repeat([lo, hi], 100) \
+        * (1 + rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-11, -3, 200))
+    t = np.sqrt(edge) * np.exp(2j * np.pi * rng.random(200))
+    z = np.concatenate([rng.standard_cauchy(200) + 1j * rng.standard_cauchy(200),
+                        _from_chart(dom, t)])
+    alpha, beta, gamma, delta = _chart_coefficients(dom)
+    t2 = np.abs((alpha * z + beta) / (gamma * z + delta)) ** 2
+    clear = (np.abs(t2 - lo) > 1e-12 * lo) & (np.abs(t2 - hi) > 1e-12 * hi)
+    expected = np.where(t2 < lo, 1, np.where(t2 > hi, -1, 0))
+    assert np.array_equal(dom.tag_codes(z)[clear], expected[clear])
+
+
+def _chart_radii(rng, d, r_in, layout):
+    """d chart radii: inside |t| < r_in, outside |t| > 1 / r_in, or both;
+    some at 1e-9..1e-2 relative from an edge, and on the circle."""
+    r_out = 1.0 / r_in
+    near_in = r_in * (1 - 10.0 ** rng.uniform(-9, -2, d))
+    near_out = r_out * (1 + 10.0 ** rng.uniform(-9, -2, d))
+    pools = {"inside": [r_in * rng.random(d), near_in],
+             "outside": [r_out / rng.random(d), near_out],
+             "both": [r_in * rng.random(d), near_in, np.ones(d), near_out,
+                      r_out / rng.random(d)]}[layout]
+    radii = np.choose(rng.integers(len(pools), size=d), pools)
+    if rng.random() < 0.2:
+        radii[rng.integers(d)] = 1.0      # a point on the boundary
+    return radii
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(index=st.integers(0, 23),
+       tol=st.sampled_from([1e-9, 1e-3, 0.3]),
+       target=st.sampled_from(list(RegionClass)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_rows_the_falsifier_skips_keep_their_roots_in_the_target(index, tol, target,
+                                                                 seed):
+    # rows of degree 1-9 whose roots are drawn in the chart: a row that
+    # _rows_to_root leaves out must have every roots_batch root tagged in
+    # the target, as the falsifier would have tagged it
+    dom = _domain(index, tol)
+    alpha, _, gamma, _ = _chart_coefficients(dom)
+    r_in = math.sqrt((1 - tol) / (1 + tol))
+    rng = np.random.default_rng(seed)
+    block = np.zeros((32, 10), dtype=np.complex128)
+    block[1, 0] = 1.0                     # a constant; row 0 stays zero
+    for row in block[2:]:
+        d = int(rng.integers(1, 10))
+        radii = _chart_radii(rng, d, r_in, rng.choice(["inside", "outside", "both"]))
+        t = radii * np.exp(2j * np.pi * rng.random(d))
+        # t = alpha / gamma is the image of z = infinity
+        if np.any(np.abs(alpha - gamma * t) < 0.1 * abs(gamma)):
+            continue
+        lead = 10.0 ** rng.uniform(-3, 3) * np.exp(2j * np.pi * rng.random())
+        row[: d + 1] = from_roots(_from_chart(dom, t), lead).coeffs
+    rooted = set(_rows_to_root(block, dom, target).tolist())
+    for i, rm in enumerate(roots_batch(block)):
+        if i in rooted or rm is None:
+            continue
+        codes = dom.tag_codes([r for r, _ in rm.entries]).tolist()
+        assert all(target.contains(_TAG_BY_CODE[c]) for c in codes), (i, codes)
