@@ -476,18 +476,18 @@ def falsify(op: LinearOperator, dom: MoebiusDomain,
 
     Trials are built in trial-order chunks, one degree cycle first and
     twice the previous chunk after that.  Each chunk's inputs are drawn as
-    one block (``_trial_roots``), expanded one degree at a time by
-    ``_expand_rows`` and mapped by one ``apply_rows`` pass.  Each image's
-    roots in the target class are then counted, not found
-    (``_rows_to_root``): a row whose Schur-Cohn count in the chart certainly
-    keeps every root in the target cannot escape and is not rooted.  The
-    other rows are rooted in trial order in two ``roots_batch`` calls, the
-    first row alone and then the rest, each call's roots tagged in one
-    ``tag_codes`` call, and the search returns at the first verified
-    witness.  Inputs draw from rng in trial order either way, so the
-    witness is the one with the smallest trial index, as if every trial
-    were built by ``_sample_class``, ``from_roots`` and ``op.apply`` and
-    rooted at once.
+    one block (``_trial_roots``), expanded by one ``_expand_rows`` call for
+    all degrees and mapped by one ``apply_rows`` pass.  Each image's roots
+    in the target class are then counted, not found (``_rows_to_root``), in
+    one Schur-Cohn pass over the chunk: a row whose count in the chart
+    certainly keeps every root in the target cannot escape and is not
+    rooted.  The other rows are rooted in trial order in two
+    ``roots_batch`` calls, the first row alone and then the rest, each
+    call's roots tagged in one ``tag_codes`` call, and the search returns
+    at the first verified witness.  Inputs draw from rng in trial order
+    either way, so the witness is the one with the smallest trial index, as
+    if every trial were built by ``_sample_class``, ``from_roots`` and
+    ``op.apply`` and rooted at once.
     """
     target = source if target is None else target
     rng = _as_rng(rng)
@@ -506,10 +506,7 @@ def falsify(op: LinearOperator, dom: MoebiusDomain,
         stop = min(trials, start + size)
         degrees = lo + np.arange(start, stop) % cycle
         root_rows = _trial_roots(dom, source, degrees, rng)
-        inputs = np.zeros((stop - start, hi + 1), dtype=np.complex128)
-        for j in range(min(cycle, stop - start)):
-            d = int(degrees[j])
-            inputs[j::cycle, : d + 1] = _expand_rows(root_rows[j::cycle, :d])
+        inputs = _expand_rows(root_rows, 1.0, degrees)
         images = op.apply_rows(inputs)
         rows = _rows_to_root(images, dom, target)
         for part in (rows[:1], rows[1:]):

@@ -602,21 +602,38 @@ def root_uncertainty(coeffs, root: complex, multiplicity: int = 1) -> float:
     return COEFF_NOISE * bound / denom
 
 
-def _expand_rows(root_rows: np.ndarray, leading: complex = 1.0) -> np.ndarray:
-    """Row i holds the coefficients of leading * prod_k (z - root_rows[i, k]).
+def _expand_rows(root_rows: np.ndarray, leading: complex = 1.0,
+                 degrees: np.ndarray | None = None) -> np.ndarray:
+    """Row i holds the coefficients of leading * prod_k (z - root_rows[i, k])
+    over its first degrees[i] roots (all of them when degrees is None),
+    zero-padded to root_rows.shape[1] + 1 entries.
 
     Every row takes the recurrence c <- [c * (-r_k), 0] + [0, c] in k order
     with the same elementwise operations, so a row expanded alone equals the
-    same row inside any batch bit for bit.
+    same row inside any batch bit for bit.  The rows are sorted by degree,
+    highest first, so that the rows still taking factors at step k are a
+    prefix; a row past its degree leaves the block as it is.
     """
     n, d = root_rows.shape
     c = np.full((n, 1), leading, dtype=np.complex128)
-    for k in range(d):
-        nxt = np.zeros((n, k + 2), dtype=np.complex128)
+    live = [n] * d
+    if degrees is not None:
+        order = np.argsort(-degrees, kind="stable")
+        root_rows = root_rows[order]
+        live = np.count_nonzero(degrees[:, None] > np.arange(d), axis=0).tolist()
+        out = np.zeros((n, d + 1), dtype=np.complex128)
+    for k, j in enumerate(live):
+        if j < len(c):
+            out[order[j: len(c)], : k + 1] = c[j:]
+            c = c[:j]
+        nxt = np.zeros((j, k + 2), dtype=np.complex128)
         nxt[:, 1:] = c
-        nxt[:, : k + 1] += c * -root_rows[:, k: k + 1]
+        nxt[:, : k + 1] += c * -root_rows[:j, k: k + 1]
         c = nxt
-    return c
+    if degrees is None:
+        return c
+    out[order[: len(c)]] = c
+    return out
 
 
 def from_roots(root_list: Iterable[complex], leading: complex = 1.0) -> Poly:

@@ -209,11 +209,19 @@ def _chart(dom: MoebiusDomain, d: int, radius: float = 1.0) -> np.ndarray:
     return M
 
 
-def _disk_counts(q: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots in the open unit disk of each row of q (t**k coefficients, all
-    of nominal degree n = q.shape[1] - 1, roots at infinity allowed), and
-    whether each count is certain; amp is each row's error amplification
-    before the recursion.
+def _disk_counts(q: np.ndarray, amp: np.ndarray, degrees: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Roots in the open unit disk of each row of q (t**k coefficients, roots
+    at infinity allowed), and whether each count is certain; amp is each
+    row's error amplification before the recursion.
+
+    Row i has nominal degree degrees[i] >= 1, or q.shape[1] - 1 for every
+    row when degrees is None; the rows come sorted by degree, highest first,
+    with zeros above each row's degree.  At step n the rows of degree >= n
+    are then a prefix of the block: a row joins the recursion at the step
+    of its own degree and takes no step above it.  Every operation on a row
+    is elementwise, so its count and flag are bit for bit those of a call
+    on its degree group alone.
 
     Schur-Cohn: Tp = conj(a0) p - an p*, with p* the reversed conjugate,
     has nominal degree n - 1.  By Rouche on the circle, p and Tp have the
@@ -222,12 +230,24 @@ def _disk_counts(q: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray
     amplification, times eps, stays below COUNT_AMPLIFICATION.
     """
     m, width = q.shape
-    sign = np.ones(m, dtype=np.int64)
-    count = np.zeros(m, dtype=np.int64)
-    certain = np.ones(m, dtype=bool)
-    p = q
+    # joins[n]: the number of rows of degree >= n, at each degree present
+    joins = {width - 1: m} if degrees is None else \
+        {d: i + 1 for i, d in enumerate(degrees.tolist())}
+    k = joins[width - 1]
+    p, amp_in, amp = q[:k], amp, amp[:k]
+    sign = np.ones(k, dtype=np.int64)
+    count = np.zeros(k, dtype=np.int64)
+    certain = np.ones(k, dtype=bool)
     with np.errstate(all="ignore"):
         for n in range(width - 1, 0, -1):
+            j = joins.get(n, k)
+            if j > k:
+                p = np.concatenate([p, q[k:j, : n + 1]])
+                amp = np.concatenate([amp, amp_in[k:j]])
+                sign = np.concatenate([sign, np.ones(j - k, dtype=np.int64)])
+                count = np.concatenate([count, np.zeros(j - k, dtype=np.int64)])
+                certain = np.concatenate([certain, np.ones(j - k, dtype=bool)])
+                k = j
             top = np.abs(p).max(axis=1, keepdims=True)
             p = p / np.where(top > 0, top, 1.0)
             a0, an = p[:, :1], p[:, n: n + 1]
@@ -247,22 +267,40 @@ def _interior_counts(block: np.ndarray, degrees: np.ndarray, natural: np.ndarray
                      dom: MoebiusDomain, radius: float = 1.0
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Roots of each row of degree >= 0 in the domain's interior, or in
-    |t| < radius in its chart, and whether each count is certain; rows are
-    grouped by degree and counted in the chart.
+    |t| < radius in its chart, and whether each count is certain.
 
-    A row's error amplification starts at its rounding in the chart: its
-    natural scale pushed through |chart| against the charted row's size.
+    Each degree group is charted with its own matrix; padding rows before
+    the chart would put roots at the image of z = infinity, which lies on
+    the circle for the half-planes.  The charted groups are stacked highest
+    degree first, zero-padded on the right, and counted in one _disk_counts
+    call.  A row's error amplification starts at its rounding in the chart:
+    its natural scale pushed through |chart| against the charted row's size.
     """
     count = np.zeros(len(degrees), dtype=np.int64)
     certain = np.ones(len(degrees), dtype=bool)
-    for d in sorted(set(degrees.tolist()) - {0}):
+    groups = sorted(set(degrees.tolist()) - {0}, reverse=True)
+    if not groups:
+        return count, certain
+    idxs, charted, amps = [], [], []
+    for d in groups:
         idx = np.flatnonzero(degrees == d)
         M = _chart(dom, d, radius)
         q = block[idx, : d + 1] @ M
         with np.errstate(all="ignore"):
-            amp = (natural[idx, : d + 1] @ np.abs(M)).max(axis=1) \
-                / np.abs(q).max(axis=1)
-        count[idx], certain[idx] = _disk_counts(q, amp)
+            amps.append((natural[idx, : d + 1] @ np.abs(M)).max(axis=1)
+                        / np.abs(q).max(axis=1))
+        idxs.append(idx)
+        charted.append(q)
+    if len(groups) == 1:
+        count[idx], certain[idx] = _disk_counts(charted[0], amps[0])
+        return count, certain
+    rows = np.concatenate(idxs)
+    q = np.zeros((rows.size, groups[0] + 1), dtype=np.complex128)
+    at = 0
+    for part in charted:
+        q[at: at + len(part), : part.shape[1]] = part
+        at += len(part)
+    count[rows], certain[rows] = _disk_counts(q, np.concatenate(amps), degrees[rows])
     return count, certain
 
 

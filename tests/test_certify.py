@@ -337,6 +337,23 @@ class TestFalsify:
                        (0, 8), 500, np.random.default_rng(0)) is None
         assert calls == []
 
+    def test_one_count_and_one_expansion_per_chunk(self, monkeypatch):
+        # rows of every degree share one _disk_counts and one _expand_rows
+        # call per chunk; the chunks are one degree cycle, then doubling
+        import rootcert.certify as certify_mod
+        import rootcert.symbols as symbols_mod
+        counted, expanded = [], []
+        disk_counts, expand_rows = symbols_mod._disk_counts, certify_mod._expand_rows
+        monkeypatch.setattr(symbols_mod, "_disk_counts",
+                            lambda q, *a: counted.append(len(q)) or disk_counts(q, *a))
+        monkeypatch.setattr(certify_mod, "_expand_rows",
+                            lambda r, *a: expanded.append(len(r)) or expand_rows(r, *a))
+        assert falsify(IDENTITY, H, RegionClass.INTERIOR, RegionClass.INTERIOR,
+                       (0, 6), 500, np.random.default_rng(0)) is None
+        assert expanded == [7, 14, 28, 56, 112, 224, 59]
+        assert len(counted) == 7
+        assert sum(counted) == sum(t % 7 != 0 for t in range(500))
+
     def test_preserver_roots_no_trial(self, monkeypatch):
         # the identity keeps every image's roots where the input's were, so
         # the count in the chart skips every row: none is rooted

@@ -537,6 +537,26 @@ class TestDeterminism:
         assert [code for code, _ in shared] == [2, 0, 1]
         assert shared == [(done.returncode, done.stdout) for done in fresh]
 
+    def test_calls_leave_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma loads on first use of np.unique and the like, about 10 ms
+        # and a MiB of memory that every fresh process would pay
+        path = tmp_path / "identity.json"
+        path.write_text(json.dumps(serialize_operator(LinearOperator.identity(8))))
+        script = (
+            "import contextlib, io, sys\n"
+            "from rootcert.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(['falsify', {str(path)!r}, '--trials', '500',\n"
+            "                   '--domain', 'upper-half-plane', '--json']),\n"
+            f"             main(['certify', {str(path)!r}, '--class', 'open',\n"
+            "                   '--samples', '64', '--domain', 'unit-disk', '--json'])]\n"
+            "print(codes, 'numpy.ma' in sys.modules)\n")
+        src = str(Path(rootcert.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout.split("\n")[-2] == "[0, 0] False", done.stderr
+
     def test_run_config_interface(self, capsys):
         args = build_parser().parse_args(
             ["classify-point", "--domain", "upper-half-plane", "--json",

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from rootcert import (BiPoly, MoebiusDomain, Poly, RegionClass, base_symbol,
@@ -178,6 +179,21 @@ def test_from_roots_row_alone_equals_its_batch_row(shape, seed, log_scale, lead)
     batch = _expand_rows(root_rows, lead)
     for i, row in enumerate(root_rows):
         assert from_roots(row, lead).coeffs.tobytes() == batch[i].tobytes()
+    # with per-row degrees, row i takes only its first degrees[i] roots and
+    # is zero-padded to the batch width; real rows give signed zeros, which
+    # a row past its degree must keep
+    rng = np.random.default_rng(seed)
+    degrees = rng.integers(0, shape[1] + 1, shape[0])
+    real = rng.random(shape[0]) < 0.5
+    root_rows[real] = root_rows[real].real
+    root_rows.imag[real] = np.copysign(0.0, rng.standard_normal(root_rows[real].shape))
+    for c in (lead, complex(-abs(lead), -0.0)):
+        batch = _expand_rows(root_rows, c, degrees)
+        assert batch.shape == (shape[0], shape[1] + 1)
+        for i, (row, d) in enumerate(zip(root_rows, degrees.tolist())):
+            alone = np.zeros(shape[1] + 1, dtype=np.complex128)
+            alone[: d + 1] = from_roots(row[:d], c).coeffs
+            assert alone.tobytes() == batch[i].tobytes()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -497,3 +513,53 @@ def test_rows_the_falsifier_skips_keep_their_roots_in_the_target(index, tol, tar
             continue
         codes = dom.tag_codes([r for r, _ in rm.entries]).tolist()
         assert all(target.contains(_TAG_BY_CODE[c]) for c in codes), (i, codes)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(index=st.integers(0, 23),
+       tol=st.sampled_from([1e-9, 1e-3, 0.3]),
+       edge=st.sampled_from(["one", "inner", "outer"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mixed_degree_counts_equal_per_degree_calls(index, tol, edge, seed):
+    # one _interior_counts call on rows of degrees 0-9 in any order gives
+    # each row the count and flag, bit for bit, of a call on its degree
+    # group alone, at radius 1 and at the band-edge radii of _rows_to_root
+    dom = _domain(index, tol)
+    alpha, _, gamma, _ = _chart_coefficients(dom)
+    r_in = math.sqrt((1 - tol) / (1 + tol))
+    radius = {"one": 1.0, "inner": r_in, "outer": 1.0 / r_in}[edge]
+    rng = np.random.default_rng(seed)
+    degrees = rng.integers(0, 10, 48)
+    block = np.zeros((48, 10), dtype=np.complex128)
+    for row, d in zip(block, degrees.tolist()):
+        if d and rng.random() < 0.5:
+            # roots near the counting circles, where counts turn uncertain
+            t = _chart_radii(rng, d, r_in, "both") * np.exp(2j * np.pi * rng.random(d))
+            t = np.where(np.abs(alpha - gamma * t) < 0.1 * abs(gamma), 0.5 * t, t)
+            row[: d + 1] = from_roots(_from_chart(dom, t)).coeffs
+        else:
+            row[: d + 1] = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+    natural = np.abs(block) * (1 + rng.random(block.shape))
+    count, certain = _interior_counts(block, degrees, natural, dom, radius)
+    for d in range(10):
+        idx = np.flatnonzero(degrees == d)
+        alone = _interior_counts(block[idx], degrees[idx], natural[idx], dom, radius)
+        assert count[idx].tobytes() == alone[0].tobytes()
+        assert certain[idx].tobytes() == alone[1].tobytes()
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 17: the multiplicity "
+                   "resolver merges distinct small roots into an entry that "
+                   "is no root")
+def test_every_root_entry_has_a_small_residual_on_widely_scaled_rows():
+    # rows of degree 2-9 whose coefficients span up to 16 decades
+    rng = np.random.default_rng(2)
+    degrees = rng.integers(2, 10, 1000)
+    rows = rng.standard_normal((1000, 10)) * 10.0 ** rng.uniform(-16, 0, (1000, 10))
+    rows[np.arange(10) > degrees[:, None]] = 0
+    failed = 0
+    for row, rm in zip(rows, roots_batch(rows, trim_tol=0.0)):
+        failed += any(abs(np.polyval(row[::-1], r))
+                      > 1e-12 * np.polyval(np.abs(row)[::-1], abs(r))
+                      for r, _ in rm.entries)
+    assert failed == 0
